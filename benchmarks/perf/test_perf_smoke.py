@@ -3,7 +3,7 @@
 Everything else under ``benchmarks/`` asserts on *simulated* time; this
 file asserts on *host* time — shrunken ``repro bench`` stages with
 generous-but-strict budgets, so a gross regression in the scheduler hot
-path or the pooled ULT backend fails CI instead of silently making
+path or the ULT worker pool fails CI instead of silently making
 every sweep slower.  The budgets are an order of magnitude above the
 measured numbers to stay robust on slow shared runners; the
 ``pytest-timeout`` marker is the hard backstop.
@@ -39,40 +39,37 @@ def test_payload_shape(payload):
     names = [s["name"] for s in payload["stages"]]
     assert names == ["ult_churn", "jacobi", "ctx_sweep"]
     for stage in payload["stages"]:
-        rows = stage.get("rows") or list(stage["backends"].values())
+        rows = stage.get("rows") or [stage["sample"]]
         assert rows, f"stage {stage['name']} measured nothing"
 
 
-def test_backends_trace_identical(payload):
-    """The determinism contract, enforced at bench scale: both backends
-    must produce the same simulated makespan and timeline digest."""
+def test_jacobi_reps_trace_identical(payload):
+    """The determinism contract, enforced at bench scale: every jacobi
+    rep must produce the same simulated makespan and timeline digest."""
     jacobi = _stage(payload, "jacobi")
     assert jacobi["trace_identical"], (
-        "thread and pooled backends diverged: "
-        f"{jacobi['backends']}"
-    )
+        f"jacobi reps diverged: {jacobi['sample']}")
 
 
-def test_pooled_beats_thread_on_lifecycle_churn(payload):
-    """The pooled backend's whole point: no OS-thread spawn/join per ULT
-    lifecycle.  Measured ~3-4x; assert a conservative floor for noisy
-    CI boxes."""
+def test_churn_creates_no_workers_once_warm(payload):
+    """The pool's whole point: no OS-thread spawn/join per ULT
+    lifecycle.  After warm-up the timed churn reps must reuse workers
+    only, so the pool's ``created`` count does not move."""
     churn = _stage(payload, "ult_churn")
-    assert churn["speedup_pooled_vs_thread"] >= 1.5
+    assert churn["workers_created"] == 0
 
 
 def test_stage_wall_clock_budgets(payload):
     churn = _stage(payload, "ult_churn")
     jacobi = _stage(payload, "jacobi")
     sweep = _stage(payload, "ctx_sweep")
-    assert churn["backends"]["pooled"]["min_s"] < CHURN_BUDGET_S
-    assert jacobi["backends"]["pooled"]["min_s"] < JACOBI_BUDGET_S
+    assert churn["sample"]["min_s"] < CHURN_BUDGET_S
+    assert jacobi["sample"]["min_s"] < JACOBI_BUDGET_S
     assert all(r["wall_s"] < SWEEP_BUDGET_S for r in sweep["rows"])
 
 
 def test_ops_rates_positive(payload):
     for name in ("ult_churn", "jacobi"):
-        for backend, sample in _stage(payload, name)["backends"].items():
-            assert sample["ops_per_s"] > 0, (name, backend)
+        assert _stage(payload, name)["sample"]["ops_per_s"] > 0, name
     assert all(r["switches_per_s"] > 0
                for r in _stage(payload, "ctx_sweep")["rows"])

@@ -242,7 +242,6 @@ class AmpiJob:
         ft: FtConfig | None = None,
         transport: str = "priced",
         recovery: str = "global",
-        ult_backend: "str | Any | None" = None,
         sanitize: "bool | Any | None" = None,
     ):
         if nvp < 1:
@@ -259,10 +258,6 @@ class AmpiJob:
         self.optimize = optimize
         self.stack_bytes = stack_bytes
         self.slot_size = slot_size
-        #: how rank ULTs get their OS stacks ("thread", "pooled", a
-        #: backend instance, or None for the process default) — a pure
-        #: execution-speed choice with no effect on simulated timelines
-        self.ult_backend = ult_backend
         if placement not in ("block", "roundrobin"):
             raise ReproError(f"unknown placement {placement!r}")
         self.placement = placement
@@ -415,7 +410,6 @@ class AmpiJob:
             rank.ult = UserLevelThread(
                 f"vp{vp}", self._rank_entry, (rank,),
                 stack_bytes=self.stack_bytes,
-                backend=self.ult_backend,
             )
             proc.startup_clock.advance(
                 self.costs.ult_create_ns + self.costs.ampi_rank_setup_ns

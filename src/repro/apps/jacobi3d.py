@@ -257,7 +257,6 @@ def run_jacobi(
     ft: Any = None,
     transport: str = "priced",
     recovery: str = "global",
-    ult_backend: Any = None,
     sanitize: Any = None,
     strict: bool = True,
 ) -> JobResult:
@@ -288,7 +287,6 @@ def run_jacobi(
             transport=transport, recovery=recovery,
         )
         return _js.run_spec(spec, trace=trace, sanitize=sanitize,
-                            ult_backend=ult_backend,
                             trace_fetches=trace_fetches, strict=strict)
     source = build_jacobi_program(cfg)
     job = AmpiJob(
@@ -296,6 +294,6 @@ def run_jacobi(
         optimize=optimize, lb_strategy=lb_strategy,
         trace_fetches=trace_fetches, trace=trace,
         fault_plan=fault_plan, ft=ft, transport=transport,
-        recovery=recovery, ult_backend=ult_backend, sanitize=sanitize,
+        recovery=recovery, sanitize=sanitize,
     )
     return job.run(strict=strict)

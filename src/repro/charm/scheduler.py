@@ -311,12 +311,12 @@ class JobScheduler:
         )
 
     def shutdown(self) -> None:
-        """Force-unwind every live ULT and release its OS thread.
+        """Force-unwind every live ULT and release its pool worker.
 
-        Idempotent.  A backing thread that refuses to die within the
-        backend's join timeout is counted in :attr:`orphaned` (and in the
-        process-wide :func:`repro.threads.orphan_count`) instead of being
-        silently leaked across sweeps.
+        Idempotent.  A worker wedged by user code that refuses to unwind
+        is counted in :attr:`orphaned` (and in the process-wide
+        :func:`repro.threads.orphan_count`) instead of being silently
+        leaked across sweeps.
         """
         for rank in self._all_ranks:
             ult = rank.ult

@@ -21,9 +21,9 @@ Commands
     a checkpointing Jacobi-3D, with deterministic fault injection.
 ``bench [--quick] [--serve] [--json] [--out F]``
     Wall-clock (host-time) performance smoke of the event loop itself:
-    ULT lifecycle churn, a paper-scale Jacobi run under both execution
-    backends (with a byte-identical-timeline determinism check), and a
-    figure-6-style context-switch sweep.  ``--serve`` appends a
+    ULT lifecycle churn, a paper-scale Jacobi run (with a rep-to-rep
+    byte-identical-timeline determinism check), and a figure-6-style
+    context-switch sweep.  ``--serve`` appends a
     load-generator pass against a private job service (cold/warm
     throughput, hit rate, single-flight coalescing, concurrent gc).
     Writes ``BENCH_scale.json``.
@@ -335,17 +335,18 @@ def cmd_bench(args) -> int:
     else:
         for stage in payload["stages"]:
             name = stage["name"]
-            if "backends" in stage:
-                rows = [[b, s["min_s"], s["ops_per_s"]]
-                        for b, s in sorted(stage["backends"].items())]
-                extra = f" — pooled {stage['speedup_pooled_vs_thread']}x"
+            if "sample" in stage:
+                s = stage["sample"]
+                extra = ""
+                if "workers_created" in stage:
+                    extra = f" — {stage['workers_created']} workers created"
                 if "trace_identical" in stage:
-                    extra += (", timelines identical"
-                              if stage["trace_identical"]
-                              else ", TIMELINES DIVERGED")
+                    extra = (" — timelines identical"
+                             if stage["trace_identical"]
+                             else " — TIMELINES DIVERGED")
                 print(format_table(
-                    ["backend", "best wall (s)", f"{stage['unit']}/s"],
-                    rows, title=f"{name}{extra}"))
+                    ["best wall (s)", f"{stage['unit']}/s"],
+                    [[s["min_s"], s["ops_per_s"]]], title=f"{name}{extra}"))
             elif name == "serve":
                 c, w = stage["cold"], stage["warm"]
                 b = stage.get("batch")
@@ -383,12 +384,12 @@ def cmd_bench(args) -> int:
                     ["nvp", "wall (s)", "switches/s"],
                     [[r["nvp"], r["wall_s"], r["switches_per_s"]]
                      for r in stage["rows"]],
-                    title=f"{name} ({stage['params']['backend']} backend)"))
+                    title=name))
             print()
         if args.out:
             print(f"wrote {args.out}")
     # The determinism contract is part of the bench's contract: fail
-    # loudly if the backends ever produce different simulated timelines
+    # loudly if two reps ever produce different simulated timelines
     # (or the serve stage breaks its caching/coalescing invariants).
     ok = all(s.get("trace_identical", True) and s.get("ok", True)
              for s in payload["stages"])
@@ -1002,7 +1003,7 @@ def build_parser() -> argparse.ArgumentParser:
     bench = sub.add_parser(
         "bench",
         help="host wall-clock smoke of the event loop (ULT churn, "
-             "Jacobi scale run per backend, ctx-switch sweep); writes "
+             "Jacobi scale run, ctx-switch sweep); writes "
              "BENCH_scale.json")
     bench.add_argument("--quick", action="store_true",
                        help="shrunken stages for CI (seconds, not minutes)")

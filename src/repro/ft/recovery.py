@@ -278,7 +278,6 @@ class RecoveryManager:
             ult = UserLevelThread(
                 f"vp{rank.vp}", job._rank_entry, (rank,),
                 stack_bytes=job.stack_bytes,
-                backend=job.ult_backend,
             )
             ult.clock = clock
             rank.ult = ult
@@ -372,7 +371,6 @@ class LocalRecoveryManager(RecoveryManager):
             ult = UserLevelThread(
                 f"vp{rank.vp}", job._rank_entry, (rank,),
                 stack_bytes=job.stack_bytes,
-                backend=job.ult_backend,
             )
             ult.clock = clock
             rank.ult = ult

@@ -2,23 +2,22 @@
 
 Everything else in this repo measures *simulated* time; this module
 measures *real* time — how fast the event loop itself executes on the
-host — so regressions in the scheduler hot path or the ULT execution
-backends show up as numbers, not vibes.
+host — so regressions in the scheduler hot path or the ULT worker pool
+show up as numbers, not vibes.
 
 Three stages, written to ``BENCH_scale.json``:
 
 ``ult_churn``
-    Pure backend lifecycle cost: create N ULTs, run each through a
-    couple of yields, join.  This isolates exactly the work the pooled
-    backend eliminates (OS-thread spawn/join per ULT), so it is the
-    stage where the backend speedup is visible undiluted.
+    Pure ULT lifecycle cost: create N ULTs, run each through a couple
+    of yields, join.  Also counts the pool workers created during the
+    timed reps (``workers_created``): on a warm pool it must be zero,
+    i.e. no OS-thread spawn/join per ULT.
 
 ``jacobi``
-    End-to-end scale smoke: Jacobi-3D at paper-scale VP counts under
-    each backend.  The ratio here is bounded by the simulation model
-    work that both backends share; the stage also checks the
-    determinism contract — both backends must produce byte-identical
-    simulated timelines (same scheduling order, same makespan).
+    End-to-end scale smoke: Jacobi-3D at paper-scale VP counts.  The
+    stage also checks the determinism contract — the warmup run and
+    every timed rep must produce a byte-identical simulated timeline
+    (same scheduling order, same makespan).
 
 ``ctx_sweep``
     Figure-6-style context-switch sweep: a yield ping-pong program at
@@ -37,7 +36,7 @@ Wall-clock methodology: per measurement we take the best of ``reps``
 runs with the garbage collector disabled inside the timed window (GC
 pauses over the simulated-machine object graph otherwise dominate at
 1k+ VPs and are attributed to whatever allocation triggers them).  The
-pooled backend is prewarmed and each stage gets one untimed warmup run,
+worker pool is prewarmed and each stage gets one untimed warmup run,
 so numbers reflect steady state, not first-touch costs.
 """
 
@@ -52,16 +51,13 @@ from typing import Any, Callable, Sequence
 from repro.apps.jacobi3d import JacobiConfig
 from repro.harness.jobspec import JobSpec, build_job, code_version, run_spec_job
 from repro.perf.counters import EV_CTX_SWITCH
-from repro.threads import UserLevelThread, get_backend
+from repro.threads import UserLevelThread, shared_pool
 from repro.trace.stream import timeline_sha
-
-#: the two execution backends every stage compares
-BACKENDS = ("thread", "pooled")
 
 
 @dataclass
-class BackendSample:
-    """Wall-clock samples for one backend in one stage."""
+class Sample:
+    """Wall-clock samples of one stage."""
 
     wall_s: list[float] = field(default_factory=list)
     ops: int = 0                 #: stage-defined unit count per run
@@ -90,7 +86,7 @@ class BackendSample:
         return d
 
 
-def _timed(fn: Callable[[], int], reps: int, sample: BackendSample) -> None:
+def _timed(fn: Callable[[], int], reps: int, sample: Sample) -> None:
     """Run ``fn`` ``reps`` times with GC off, recording wall seconds.
 
     ``fn`` returns the stage's op count for the run (lifecycles, context
@@ -111,8 +107,8 @@ def _timed(fn: Callable[[], int], reps: int, sample: BackendSample) -> None:
 
 
 def _reset_pool() -> None:
-    """Drop the shared pooled backend so the next stage starts clean."""
-    get_backend("pooled").close()
+    """Close the shared worker pool so the next stage starts on a fresh one."""
+    shared_pool().close()
 
 
 # ---------------------------------------------------------------------------
@@ -122,20 +118,20 @@ def _reset_pool() -> None:
 def bench_ult_churn(
     n_ults: int = 1024, yields: int = 2, reps: int = 3
 ) -> dict[str, Any]:
-    """Create/run/join ``n_ults`` ULTs per rep under each backend.
+    """Create/run/join ``n_ults`` ULTs per rep on the shared worker pool.
 
-    The op unit is one full ULT lifecycle.  The thread backend pays an
-    OS-thread spawn + join per lifecycle; the pooled backend reuses a
-    warm worker, which is the whole point of pooling.
+    The op unit is one full ULT lifecycle.  Every lifecycle must reuse
+    a warm worker, which is the whole point of pooling:
+    ``workers_created`` counts the workers the timed reps added.
     """
-    def one_batch(backend: str) -> int:
+    def one_batch() -> int:
         def body(u: UserLevelThread) -> None:
             for _ in range(yields):
                 u.yield_("spin")
 
         ults = []
         for i in range(n_ults):
-            u = UserLevelThread(f"churn{i}", lambda: None, backend=backend)
+            u = UserLevelThread(f"churn{i}", lambda: None)
             u.target = body
             u.args = (u,)
             ults.append(u)
@@ -152,22 +148,20 @@ def bench_ult_churn(
             u.join_thread()
         return n_ults
 
-    samples: dict[str, BackendSample] = {}
-    for backend in BACKENDS:
-        if backend == "pooled":
-            get_backend("pooled").prewarm(n_ults)
-        s = samples[backend] = BackendSample()
-        one_batch(backend)  # untimed warmup
-        _timed(lambda: one_batch(backend), reps, s)
+    pool = shared_pool()
+    pool.prewarm(n_ults)
+    s = Sample()
+    one_batch()  # untimed warmup
+    warm = pool.created
+    _timed(one_batch, reps, s)
+    workers_created = pool.created - warm
     _reset_pool()
-
-    ratio = samples["thread"].min_s / samples["pooled"].min_s
     return {
         "name": "ult_churn",
         "unit": "ULT lifecycles",
         "params": {"n_ults": n_ults, "yields": yields, "reps": reps},
-        "backends": {b: s.to_dict() for b, s in samples.items()},
-        "speedup_pooled_vs_thread": round(ratio, 2),
+        "sample": s.to_dict(),
+        "workers_created": workers_created,
     }
 
 
@@ -175,14 +169,9 @@ def bench_ult_churn(
 # Stage 2: Jacobi scale smoke + determinism contract
 # ---------------------------------------------------------------------------
 
-def _run_jacobi_job(spec: JobSpec, backend: str) -> tuple[int, int, str]:
-    """One Jacobi job; returns (ctx_switches, makespan_ns, timeline sha).
-
-    The backend is a runtime option (zero-overhead-when-off contract),
-    so one spec covers both backends — which is exactly the determinism
-    claim this stage verifies.
-    """
-    job, result = run_spec_job(spec, ult_backend=backend)
+def _run_jacobi_job(spec: JobSpec) -> tuple[int, int, str]:
+    """One Jacobi job; returns (ctx_switches, makespan_ns, timeline sha)."""
+    job, result = run_spec_job(spec)
     return (result.counters[EV_CTX_SWITCH], result.makespan_ns,
             timeline_sha(job.scheduler.timeline))
 
@@ -190,50 +179,37 @@ def _run_jacobi_job(spec: JobSpec, backend: str) -> tuple[int, int, str]:
 def bench_jacobi(
     nvp: int = 1024, n: int = 16, iters: int = 1, reps: int = 3
 ) -> dict[str, Any]:
-    """End-to-end Jacobi-3D at ``nvp`` ranks under each backend.
+    """End-to-end Jacobi-3D at ``nvp`` ranks.
 
     The op unit is one scheduler quantum (context switch).  Also
-    verifies the backend determinism contract: identical simulated
-    timelines and makespans across backends.
+    verifies the determinism contract: the warmup run and every timed
+    rep have identical simulated timelines and makespans.
     """
     cfg = JacobiConfig(n=n, iters=iters, reduce_every=max(1, iters))
     spec = JobSpec(app="jacobi3d", nvp=nvp, app_config=dict(cfg.__dict__),
                    method="pieglobals", machine="generic-linux",
                    layout=(2, 2, 4))
 
-    samples: dict[str, BackendSample] = {}
-    shas: dict[str, list[str]] = {b: [] for b in BACKENDS}
-    for backend in BACKENDS:
-        if backend == "pooled":
-            get_backend("pooled").prewarm(nvp)
-        s = samples[backend] = BackendSample()
-        _run_jacobi_job(spec, backend)  # untimed warmup
+    shared_pool().prewarm(nvp)
+    s = Sample()
+    _, makespan, sha = _run_jacobi_job(spec)  # untimed warmup
+    runs = {(makespan, sha)}
 
-        def one_job(backend: str = backend, s: BackendSample = s) -> int:
-            switches, makespan, sha = _run_jacobi_job(spec, backend)
-            s.makespan_ns = makespan
-            s.timeline_sha = sha
-            shas[backend].append(sha)
-            return switches
+    def one_job() -> int:
+        switches, s.makespan_ns, s.timeline_sha = _run_jacobi_job(spec)
+        runs.add((s.makespan_ns, s.timeline_sha))
+        return switches
 
-        _timed(one_job, reps, s)
+    _timed(one_job, reps, s)
     _reset_pool()
-
-    # Determinism contract, both directions: every rep of one backend
-    # must replay the same timeline (no hidden host-time dependence),
-    # and the two backends must agree with each other.
-    identical = (
-        len({sha for reps_shas in shas.values() for sha in reps_shas}) == 1
-        and samples["thread"].makespan_ns == samples["pooled"].makespan_ns
-    )
-    ratio = samples["thread"].min_s / samples["pooled"].min_s
     return {
         "name": "jacobi",
         "unit": "scheduler quanta",
         "params": {"nvp": nvp, "n": n, "iters": iters, "reps": reps},
-        "backends": {b: s.to_dict() for b, s in samples.items()},
-        "speedup_pooled_vs_thread": round(ratio, 2),
-        "trace_identical": identical,
+        "sample": s.to_dict(),
+        # every rep must replay the same timeline: no hidden host-time
+        # or worker-assignment dependence
+        "trace_identical": len(runs) == 1,
     }
 
 
@@ -244,7 +220,6 @@ def bench_jacobi(
 def bench_ctx_sweep(
     vps: Sequence[int] = (2, 64, 256),
     yields_per_rank: int = 200,
-    backend: str = "pooled",
 ) -> dict[str, Any]:
     """Real switches/second of the yield ping-pong at growing VP counts.
 
@@ -252,8 +227,7 @@ def bench_ctx_sweep(
     the figure 6 microbenchmark measured in host time instead of
     simulated time.
     """
-    if backend == "pooled":
-        get_backend("pooled").prewarm(max(vps))
+    shared_pool().prewarm(max(vps))
     rows = []
     for nvp in vps:
         spec = JobSpec(app="pingpong", nvp=nvp,
@@ -261,7 +235,7 @@ def bench_ctx_sweep(
                                    "name": "bench_ctxswitch"},
                        method="none", machine="generic-linux",
                        layout=(1, 1, 1), slot_size=1 << 26)
-        job = build_job(spec, ult_backend=backend)
+        job = build_job(spec)
         gc.collect()
         gc_was_on = gc.isenabled()
         gc.disable()
@@ -283,7 +257,7 @@ def bench_ctx_sweep(
     return {
         "name": "ctx_sweep",
         "unit": "context switches",
-        "params": {"yields_per_rank": yields_per_rank, "backend": backend},
+        "params": {"yields_per_rank": yields_per_rank},
         "rows": rows,
     }
 

@@ -7,10 +7,10 @@ virtualization, placement, fault plan, transport, recovery scheme.
 :class:`JobSpec` is the one value object that captures exactly that set
 of inputs, with a stable JSON encoding (:meth:`JobSpec.to_dict` /
 :meth:`JobSpec.from_dict`) and a content digest (:meth:`JobSpec.digest`)
-over the canonical encoding.  It is deliberately *speed-agnostic*: the
-ULT execution backend, tracing, and fetch tracing are runtime options of
-:func:`build_job`, because none of them may change simulated timelines
-(the repo-wide zero-overhead-when-off contract).
+over the canonical encoding.  It is deliberately *observer-agnostic*:
+tracing and fetch tracing are runtime options of :func:`build_job`,
+because neither may change simulated timelines (the repo-wide
+zero-overhead-when-off contract).
 
 The provenance store (:mod:`repro.provenance`) keys run records by
 ``spec.digest()``; the future ``repro serve`` result cache will use the
@@ -217,7 +217,6 @@ def build_job(
     *,
     trace: Any = None,
     sanitize: Any = None,
-    ult_backend: Any = None,
     trace_fetches: bool = False,
 ) -> AmpiJob:
     """Materialize a spec into a runnable :class:`AmpiJob`.
@@ -249,7 +248,6 @@ def build_job(
         recovery=spec.recovery,
         trace=trace,
         sanitize=sanitize,
-        ult_backend=ult_backend,
         trace_fetches=trace_fetches,
     )
 

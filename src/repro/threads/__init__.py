@@ -3,22 +3,18 @@
 Virtual MPI ranks run as ULTs, exactly as in AMPI: blocking communication
 suspends the ULT and the processing element's scheduler switches to
 another ready rank.  The simulator implements ULTs as baton-passing OS
-threads — only one ever runs at a time, handed off explicitly — with all
-*reported* time coming from per-ULT simulated clocks.
+threads from a shared worker pool — only one ever runs at a time, handed
+off explicitly — with all *reported* time coming from per-ULT simulated
+clocks.
 """
 
 from repro.threads.ult import UserLevelThread, UltState, UltKilled
 from repro.threads.runqueue import RunQueue
-from repro.threads.backend import (
-    ExecutionBackend,
-    PooledBackend,
-    ThreadBackend,
-    backend_names,
+from repro.threads.pool import (
+    UltPool,
     consume_orphan_count,
-    default_backend,
-    get_backend,
     orphan_count,
-    set_default_backend,
+    shared_pool,
 )
 
 __all__ = [
@@ -26,13 +22,8 @@ __all__ = [
     "UltState",
     "UltKilled",
     "RunQueue",
-    "ExecutionBackend",
-    "ThreadBackend",
-    "PooledBackend",
-    "get_backend",
-    "default_backend",
-    "set_default_backend",
-    "backend_names",
+    "UltPool",
+    "shared_pool",
     "orphan_count",
     "consume_orphan_count",
 ]

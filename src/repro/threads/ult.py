@@ -1,15 +1,14 @@
 """Baton-passing user-level threads.
 
-Each :class:`UserLevelThread` runs its user code on a real OS stack
-supplied by an :class:`~repro.threads.backend.ExecutionBackend` — a
-dedicated thread (``thread`` backend) or a recycled pool worker
-(``pooled`` backend).  The stack spends almost all of its life blocked
-on a private baton.  Control is handed over explicitly: the scheduler
-calls :meth:`UserLevelThread.switch_in`, which wakes the ULT and blocks
-the caller until the ULT either *yields* (blocks on communication) or
+Each :class:`UserLevelThread` runs its user code on a real OS stack: a
+recycled worker of the process-wide :class:`~repro.threads.pool.UltPool`.
+The stack spends almost all of its life blocked on a private baton.
+Control is handed over explicitly: the scheduler calls
+:meth:`UserLevelThread.switch_in`, which wakes the ULT and blocks the
+caller until the ULT either *yields* (blocks on communication) or
 finishes.  At any instant exactly one thread — the scheduler or one ULT
 — is runnable, so no user-visible locking is needed and execution is
-fully deterministic regardless of backend.
+fully deterministic regardless of which worker hosts a ULT.
 
 Simulated time lives in ``ult.clock`` (a :class:`~repro.perf.clock.SimClock`);
 the real threads exist only to give user code an ordinary blocking call
@@ -23,7 +22,7 @@ from typing import Any, Callable
 
 from repro.errors import ReproError
 from repro.perf.clock import SimClock
-from repro.threads.backend import ExecutionBackend, get_backend
+from repro.threads.pool import record_orphan, shared_pool
 
 
 class UltState(enum.Enum):
@@ -54,7 +53,6 @@ class UserLevelThread:
         target: Callable[..., Any],
         args: tuple = (),
         stack_bytes: int = 1 << 20,
-        backend: "ExecutionBackend | str | None" = None,
     ):
         UserLevelThread._id_counter += 1
         self.tid = UserLevelThread._id_counter
@@ -62,7 +60,6 @@ class UserLevelThread:
         self.target = target
         self.args = args
         self.stack_bytes = stack_bytes  #: simulated ULT stack reservation
-        self.backend = get_backend(backend)
         self.clock = SimClock()
         self.state = UltState.NEW
         self.block_reason: str = ""
@@ -70,21 +67,20 @@ class UserLevelThread:
         self.exception: BaseException | None = None
 
         self._kill = False
-        self._runner = None  # set by the backend (attach or first bind)
+        self._orphan_recorded = False
+        self._runner = None  # the pool worker, bound at first switch_in
 
     # -- lifecycle (scheduler side) ---------------------------------------------
 
     def start(self) -> None:
         """Make the ULT runnable, paused before user code runs.
 
-        The thread backend spawns the backing OS thread here; the pooled
-        backend defers until the first :meth:`switch_in` so never-run
-        ULTs cost nothing.
+        No OS resources are taken until the first :meth:`switch_in`, so
+        ranks killed before their first quantum never consume a worker.
         """
         if self.state is not UltState.NEW:
             raise ReproError(f"ULT {self.name} already started")
         self.state = UltState.READY
-        self.backend.attach(self)
 
     def switch_in(self) -> UltState:
         """Hand the baton to this ULT; returns when it yields or finishes."""
@@ -94,7 +90,7 @@ class UserLevelThread:
             )
         runner = self._runner
         if runner is None:
-            runner = self._runner = self.backend.bind(self)
+            runner = self._runner = shared_pool().bind(self)
         self.state = UltState.RUNNING
         runner.resume()
         return self.state
@@ -102,10 +98,9 @@ class UserLevelThread:
     def kill(self) -> None:
         """Force the ULT to unwind (used at abnormal shutdown).
 
-        Under the pooled backend this recycles the worker rather than
-        joining an OS thread; under the thread backend the dead thread
-        is joined, and a join that times out is surfaced through the
-        backend's orphan counter instead of being silently ignored.
+        This recycles the pool worker rather than joining an OS thread;
+        a worker wedged by user code that swallows :class:`UltKilled` is
+        surfaced by :meth:`join_thread`.
         """
         if self.state in (UltState.DONE, UltState.ERROR, UltState.NEW):
             return
@@ -116,16 +111,24 @@ class UserLevelThread:
             self.exception = UltKilled(self.name)
             return
         # resume() returns only once the ULT has unwound (or yielded
-        # again, if user code swallowed UltKilled).  OS-thread cleanup
-        # and leak detection happen in join_thread()/backend.reap so a
-        # wedged stack is reported exactly once.
+        # again, if user code swallowed UltKilled).  Leak detection
+        # happens in join_thread() so a wedged stack is reported once.
         self._runner.resume()
 
-    def join_thread(self, timeout: float | None = None) -> bool:
-        """Release the ULT's OS resources; True if a thread leaked."""
-        if self._runner is None:
+    def join_thread(self) -> bool:
+        """True if the ULT's worker leaked; each leak is reported once.
+
+        A finished ULT's worker is already back in the pool.  One still
+        bound after :meth:`kill` means user code swallowed
+        :class:`UltKilled` and wedged the worker.
+        """
+        runner = self._runner
+        if (runner is None or self.finished or runner._ult is not self
+                or self._orphan_recorded):
             return False
-        return self.backend.reap(self, timeout=timeout)
+        self._orphan_recorded = True
+        record_orphan(runner.thread.name, "pool worker wedged")
+        return True
 
     # -- ULT side -----------------------------------------------------------------
 
@@ -139,9 +142,9 @@ class UserLevelThread:
         self.block_reason = ""
 
     def _main(self) -> None:
-        """Body executed on the backing OS stack (backend-invoked).
+        """Body executed on the pool worker's OS stack.
 
-        The first ``resume()`` has already been consumed by the backend
+        The first ``resume()`` has already been consumed by the worker
         before this runs.  Never raises: all outcomes are captured in
         ``state``/``result``/``exception`` for the scheduler.
         """

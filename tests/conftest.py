@@ -17,6 +17,20 @@ from repro.machine import (
     MachineModel,
 )
 from repro.program.source import Program, ProgramSource
+from repro.threads import orphan_count
+
+
+@pytest.fixture(autouse=True)
+def no_new_orphans():
+    """Fail a test that leaves more wedged ULT workers than it found.
+
+    Tests that wedge a worker on purpose reset the counter themselves
+    with ``consume_orphan_count()``.
+    """
+    before = orphan_count()
+    yield
+    leaked = orphan_count() - before
+    assert leaked <= 0, f"test left {leaked} orphan ULT worker(s)"
 
 
 @pytest.fixture

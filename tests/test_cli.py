@@ -186,9 +186,10 @@ class TestBench:
         assert payload["bench"] == "scale_smoke" and payload["quick"]
         assert [s["name"] for s in payload["stages"]] == \
             ["ult_churn", "jacobi", "ctx_sweep"]
-        jacobi = payload["stages"][1]
+        churn, jacobi, _ = payload["stages"]
+        assert churn["workers_created"] == 0
         assert jacobi["trace_identical"] is True
-        assert set(jacobi["backends"]) == {"thread", "pooled"}
+        assert jacobi["sample"]["ops_per_s"] > 0
         # the file and stdout carry the same payload
         assert json.loads(out.read_text()) == payload
 

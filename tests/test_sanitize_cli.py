@@ -111,7 +111,7 @@ class TestBenchDeterminismGate:
             "bench": "scale_smoke", "quick": True, "python": "3",
             "stages": [{"name": "jacobi", "unit": "q",
                         "params": {"nvp": 4},
-                        "backends": {}, "speedup_pooled_vs_thread": 1.0,
+                        "sample": {"min_s": 1.0, "ops_per_s": 4.0},
                         "trace_identical": identical}],
         }
         import repro.harness.bench as bench
@@ -132,7 +132,7 @@ class TestBenchDeterminismGate:
         assert main(["bench", "--quick", "--json", "--out", out]) == 1
 
     def test_real_quick_bench_is_deterministic(self):
-        # Tiny end-to-end run: both backends must agree.
+        # Tiny end-to-end run: every rep must replay the same timeline.
         from repro.harness.bench import bench_jacobi
         stage = bench_jacobi(nvp=8, n=8, iters=1, reps=2)
         assert stage["trace_identical"] is True

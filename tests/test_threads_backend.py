@@ -1,23 +1,20 @@
-"""Tests for the pluggable ULT execution backends.
+"""Tests for the ULT worker pool.
 
-Covers the backend registry, pooled-worker reuse/recycling, orphan
-(thread-leak) surfacing, and the determinism contract: the same job
-must produce byte-identical simulated timelines under either backend.
+Covers the process-wide shared pool, worker reuse/recycling, orphan
+(wedged-worker) surfacing, and the determinism contract: the same job
+must produce byte-identical simulated timelines on a cold or a warm
+pool.
 """
 
-import time
+import sys
+import threading
 
 import pytest
 
-import repro.threads.backend as backend_mod
 from repro.threads import (
-    PooledBackend,
-    ThreadBackend,
-    backend_names,
+    UltPool,
     consume_orphan_count,
-    default_backend,
-    get_backend,
-    set_default_backend,
+    shared_pool,
 )
 from repro.threads.ult import UltKilled, UltState, UserLevelThread
 
@@ -33,7 +30,7 @@ def run_to_completion(ults):
         live = nxt
 
 
-def make_ults(n, backend, yields=1):
+def make_ults(n, yields=1):
     def body(u):
         for _ in range(yields):
             u.yield_("spin")
@@ -41,7 +38,7 @@ def make_ults(n, backend, yields=1):
 
     out = []
     for i in range(n):
-        u = UserLevelThread(f"b{i}", lambda: None, backend=backend)
+        u = UserLevelThread(f"b{i}", lambda: None)
         u.target = body
         u.args = (u,)
         out.append(u)
@@ -49,118 +46,119 @@ def make_ults(n, backend, yields=1):
     return out
 
 
-def wait_for(pred, timeout=2.0):
-    deadline = time.monotonic() + timeout
-    while not pred():
-        if time.monotonic() > deadline:
-            return False
-        time.sleep(0.001)
-    return True
+@pytest.fixture
+def pool():
+    """A fresh shared pool, closed after the test."""
+    shared_pool().close()
+    fresh = shared_pool()
+    yield fresh
+    fresh.close()
 
 
 class TestRegistry:
-    def test_both_backends_registered(self):
-        assert set(backend_names()) >= {"thread", "pooled"}
-
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(ValueError, match="unknown ULT backend"):
-            get_backend("greenlet")
-
-    def test_names_resolve_to_shared_instances(self):
-        assert get_backend("pooled") is get_backend("pooled")
-        assert get_backend("thread") is get_backend("thread")
+    """The process-wide pool slot every ULT binds from."""
 
     def test_closed_shared_pool_is_replaced(self):
-        pool = get_backend("pooled")
+        pool = shared_pool()
+        assert shared_pool() is pool
         pool.close()
-        fresh = get_backend("pooled")
+        fresh = shared_pool()
         assert fresh is not pool and not fresh.closed
+        assert shared_pool() is fresh
 
-    def test_instance_passes_through(self):
-        mine = PooledBackend()
-        assert get_backend(mine) is mine
-        mine.close()
+    def test_job_after_closing_shared_pool_runs(self):
+        from repro.harness.jobspec import JobSpec, run_spec_job
 
-    def test_default_backend_from_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_ULT_BACKEND", "pooled")
-        try:
-            set_default_backend(None)  # re-resolve from the environment
-            assert default_backend().name == "pooled"
-        finally:
-            monkeypatch.delenv("REPRO_ULT_BACKEND")
-            set_default_backend(None)
-
-    def test_set_default_backend(self):
-        try:
-            assert set_default_backend("pooled").name == "pooled"
-            u = UserLevelThread("d", lambda: None)
-            assert u.backend.name == "pooled"
-        finally:
-            set_default_backend(None)
+        spec = JobSpec(app="pingpong", nvp=2,
+                       app_config={"yields_per_rank": 5,
+                                   "name": "closed-pool"},
+                       method="none", machine="generic-linux",
+                       layout=(1, 1, 1), slot_size=1 << 24)
+        _, first = run_spec_job(spec)
+        shared_pool().close()
+        _, second = run_spec_job(spec)
+        assert second.makespan_ns == first.makespan_ns
+        assert second.exit_values == first.exit_values
 
 
 class TestPooledReuse:
-    def test_workers_reused_across_batches(self):
-        pool = PooledBackend()
-        try:
-            for _ in range(3):
-                ults = make_ults(8, pool)
-                run_to_completion(ults)
-                for u in ults:
-                    assert not u.join_thread()
-                # recycling happens just after switch_in returns
-                assert wait_for(lambda: pool.idle_workers() == 8)
-            assert pool.created == 8        # high-water mark, not 24
-            assert pool.binds == 24         # but every lifetime was served
-        finally:
-            pool.close()
+    def test_workers_reused_across_batches(self, pool):
+        for _ in range(3):
+            ults = make_ults(8)
+            run_to_completion(ults)
+            for u in ults:
+                assert not u.join_thread()
+            # a finished ULT's worker is recycled before switch_in returns
+            assert pool.idle_workers() == 8
+        assert pool.created == 8        # high-water mark, not 24
+        assert pool.binds == 24         # but every lifetime was served
 
-    def test_prewarm_creates_idle_workers(self):
-        pool = PooledBackend()
-        try:
-            pool.prewarm(4)
-            assert pool.created == 4 and pool.idle_workers() == 4
-            run_to_completion(make_ults(4, pool))
-            assert pool.created == 4        # prewarmed workers were used
-        finally:
-            pool.close()
+    def test_prewarm_creates_idle_workers(self, pool):
+        pool.prewarm(4)
+        assert pool.created == 4 and pool.idle_workers() == 4
+        run_to_completion(make_ults(4))
+        assert pool.created == 4        # prewarmed workers were used
 
-    def test_kill_recycles_worker(self):
-        pool = PooledBackend()
-        try:
-            (u,) = make_ults(1, pool, yields=100)
-            u.switch_in()                   # now blocked mid-body
-            assert u.state is UltState.BLOCKED
-            u.kill()
-            assert u.state is UltState.ERROR
-            assert isinstance(u.exception, UltKilled)
-            assert not u.join_thread()
-            assert wait_for(lambda: pool.idle_workers() == 1)
-        finally:
-            pool.close()
+    def test_kill_recycles_worker(self, pool):
+        (u,) = make_ults(1, yields=100)
+        u.switch_in()                   # now blocked mid-body
+        assert u.state is UltState.BLOCKED
+        u.kill()
+        assert u.state is UltState.ERROR
+        assert isinstance(u.exception, UltKilled)
+        assert not u.join_thread()
+        assert pool.idle_workers() == 1
 
-    def test_never_run_ult_consumes_no_worker(self):
-        pool = PooledBackend()
+    def test_never_run_ult_consumes_no_worker(self, pool):
+        u = UserLevelThread("lazy", lambda: None)
+        u.start()
+        u.kill()                        # killed before first quantum
+        assert u.state is UltState.ERROR
+        assert not u.join_thread()
+        assert pool.created == 0 and pool.binds == 0
+
+    def test_concurrent_schedulers_share_pool(self, pool):
+        # Several OS threads driving their own ULT batches at once (the
+        # serve thread mode next to a host job): a worker must never be
+        # rebound before its previous caller took the finish token.
+        n_threads, batches, n_ults = 4, 5, 6
+        errors = []
+
+        def drive():
+            try:
+                for _ in range(batches):
+                    ults = make_ults(n_ults, yields=3)
+                    run_to_completion(ults)
+                    assert all(u.state is UltState.DONE for u in ults)
+            except BaseException as e:  # noqa: BLE001 - reported below
+                errors.append(e)
+
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
         try:
-            u = UserLevelThread("lazy", lambda: None, backend=pool)
-            u.start()
-            u.kill()                        # killed before first quantum
-            assert u.state is UltState.ERROR
-            assert not u.join_thread()
-            assert pool.created == 0 and pool.binds == 0
+            threads = [threading.Thread(target=drive)
+                       for _ in range(n_threads)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
         finally:
-            pool.close()
+            sys.setswitchinterval(old)
+        assert not any(t.is_alive() for t in threads)
+        assert errors == []
+        assert pool.binds == n_threads * batches * n_ults
+        assert pool.created <= n_threads * n_ults
 
     def test_close_returns_idle_worker_count(self):
-        pool = PooledBackend(prewarm=3)
+        pool = UltPool(prewarm=3)
         assert pool.close() == 3
         with pytest.raises(RuntimeError, match="closed"):
-            pool.bind(UserLevelThread("x", lambda: None, backend=pool))
+            pool.bind(UserLevelThread("x", lambda: None))
 
 
 def stubborn_body(u):
     # Swallows UltKilled (a BaseException) — the pathological user code
-    # that used to leak OS threads silently at shutdown.
+    # that would otherwise leak a worker silently at shutdown.
     while True:
         try:
             u.yield_("stuck")
@@ -170,14 +168,13 @@ def stubborn_body(u):
 
 class TestOrphanSurfacing:
     @pytest.fixture(autouse=True)
-    def fast_join(self, monkeypatch):
-        monkeypatch.setattr(backend_mod, "JOIN_TIMEOUT_S", 0.05)
+    def reset_orphans(self):
         consume_orphan_count()
         yield
         consume_orphan_count()
 
-    def _wedge(self, backend):
-        u = UserLevelThread("wedge", lambda: None, backend=backend)
+    def _wedge(self):
+        u = UserLevelThread("wedge", lambda: None)
         u.target = stubborn_body
         u.args = (u,)
         u.start()
@@ -186,37 +183,26 @@ class TestOrphanSurfacing:
         assert not u.finished
         return u
 
-    def test_thread_backend_counts_orphan(self):
-        u = self._wedge(ThreadBackend())
-        with pytest.warns(ResourceWarning, match="did not terminate"):
-            assert u.join_thread() is True
-        assert consume_orphan_count() == 1
-        # Reported exactly once: the dead-end thread is then abandoned.
-        assert u.join_thread() is False
-
-    def test_pooled_backend_counts_wedged_worker(self):
-        pool = PooledBackend()
-        u = self._wedge(pool)
+    def test_pooled_backend_counts_wedged_worker(self, pool):
+        u = self._wedge()
         with pytest.warns(ResourceWarning, match="did not terminate"):
             assert u.join_thread() is True
         assert consume_orphan_count() == 1
         assert u.join_thread() is False     # recorded exactly once
         assert pool.idle_workers() == 0     # the worker is lost, not reused
-        pool.close()
 
-    def test_clean_exit_records_nothing(self):
-        for backend in (ThreadBackend(), PooledBackend()):
-            ults = make_ults(4, backend)
-            run_to_completion(ults)
-            assert all(not u.join_thread() for u in ults)
+    def test_clean_exit_records_nothing(self, pool):
+        ults = make_ults(4)
+        run_to_completion(ults)
+        assert all(not u.join_thread() for u in ults)
         assert consume_orphan_count() == 0
 
 
 class TestDeterminismContract:
-    """Same workload, either backend => byte-identical simulated history."""
+    """Same workload, cold or warm pool => byte-identical simulated history."""
 
     @staticmethod
-    def _run(backend):
+    def _run():
         from repro.ampi.runtime import AmpiJob
         from repro.apps.jacobi3d import JacobiConfig, build_jacobi_program
         from repro.charm.node import JobLayout
@@ -224,13 +210,13 @@ class TestDeterminismContract:
         source = build_jacobi_program(JacobiConfig(n=8, iters=3,
                                                    reduce_every=2))
         job = AmpiJob(source, 8, method="pieglobals",
-                      layout=JobLayout(1, 2, 2), ult_backend=backend)
+                      layout=JobLayout(1, 2, 2))
         result = job.run()
         return (result.makespan_ns, result.exit_values,
                 list(job.scheduler.timeline))
 
-    def test_identical_timelines_across_backends(self):
-        thread_run = self._run("thread")
-        pooled_run = self._run("pooled")
-        assert thread_run == pooled_run
-        get_backend("pooled").close()
+    def test_identical_timelines_cold_and_warm_pool(self, pool):
+        cold_run = self._run()
+        assert pool.created > 0
+        warm_run = self._run()
+        assert cold_run == warm_run
