@@ -38,7 +38,7 @@ from typing import Any, Callable
 from repro.ft.prng import CounterRng
 from repro.harness.jobspec import JobSpec
 from repro.serve import protocol
-from repro.serve.client import ServeClient, ServeConnectionError
+from repro.serve.client import ServeClient, ServeConnectionError, SubmitReply
 from repro.serve.pool import execute_spec
 
 #: scenario kinds and their selection weights (normalized at draw time)
@@ -365,37 +365,46 @@ def completed_record(client: ServeClient,
     return reply.record if reply.ok else None
 
 
+def _settle(reply: SubmitReply, report: ServeCampaignReport,
+            out: ServeFaultOutcome, *,
+            reasons: tuple[str, ...] = _RESOLVING_REASONS,
+            expect: str | None = None, context: str = "") -> None:
+    """Classify the reply that settles an accepted submission and book
+    it: a record, or a structured failure whose reason is in
+    ``reasons``, resolves it; anything else leaves it unresolved.  Any
+    resolution other than ``expect`` (when given) is unexpected."""
+    out.run_id = reply.run_id
+    if reply.ok and reply.record is not None:
+        resolution = "record"
+    elif reply.reason in reasons:
+        resolution = f"reason:{reply.reason}"
+    else:
+        out.status = "unresolved"
+        out.detail = (f"{context}error={reply.error!r} "
+                      f"reason={reply.reason!r}")
+        return
+    report.resolved += 1
+    out.resolution = resolution
+    if expect is not None and resolution != expect:
+        out.status = "unexpected"
+        out.detail = f"expected {expect}, got {resolution}" + (
+            f" (cache={reply.cache})" if resolution == "record" else "")
+
+
 def _resolve(client: ServeClient, spec: JobSpec,
              report: ServeCampaignReport,
              out: ServeFaultOutcome, *,
-             deadline_ms: float | None = None,
              chaos: dict[str, Any] | None = None,
-             expect_reason: str | None = None) -> None:
-    """Submit and classify the resolution; book-keep the ledger."""
-    reply = client.submit(spec, deadline_ms=deadline_ms, chaos=chaos)
-    out.run_id = reply.run_id
+             expect: str | None = None) -> None:
+    """Submit, then book the reply unless it was shed."""
+    reply = client.submit(spec, chaos=chaos)
     if reply.reason in protocol.RETRYABLE_REASONS:
         # Shed before acceptance: not in the ledger, not a failure.
+        out.run_id = reply.run_id
         out.resolution = "shed"
         return
     report.accepted += 1
-    if reply.ok and reply.record is not None:
-        report.resolved += 1
-        out.resolution = "record"
-        if expect_reason is not None:
-            out.status = "unexpected"
-            out.detail = (f"expected {expect_reason}, got a record "
-                          f"(cache={reply.cache})")
-        return
-    if reply.reason in _RESOLVING_REASONS:
-        report.resolved += 1
-        out.resolution = f"reason:{reply.reason}"
-        if expect_reason is not None and reply.reason != expect_reason:
-            out.status = "unexpected"
-            out.detail = f"expected {expect_reason}, got {reply.reason}"
-        return
-    out.status = "unresolved"
-    out.detail = f"error={reply.error!r} reason={reply.reason!r}"
+    _settle(reply, report, out, expect=expect)
 
 
 def _run_one(sc: ServeFaultScenario, client: ServeClient,
@@ -419,7 +428,7 @@ def _run_one(sc: ServeFaultScenario, client: ServeClient,
             # from quarantine without burning more workers.
             _resolve(client, sc.spec, report, out,
                      chaos={"kill_worker_attempts": 99},
-                     expect_reason=protocol.REASON_POISON)
+                     expect=f"reason:{protocol.REASON_POISON}")
             if out.ok:
                 again = client.submit(sc.spec)
                 if again.reason != protocol.REASON_POISON:
@@ -433,22 +442,13 @@ def _run_one(sc: ServeFaultScenario, client: ServeClient,
             # shielded, the record must still land for the next caller.
             reply = client.submit(sc.spec, deadline_ms=1.0)
             report.accepted += 1
-            out.run_id = reply.run_id
-            if reply.ok:
-                report.resolved += 1
-                out.resolution = "record"   # cache was already warm/fast
-            elif reply.reason == protocol.REASON_DEADLINE:
-                settled = client.submit(sc.spec)   # no deadline: await it
-                if settled.ok and settled.record is not None:
-                    report.resolved += 1
-                    out.resolution = "reason:deadline-exceeded"
-                else:
-                    out.status = "unresolved"
-                    out.detail = (f"post-deadline settle failed: "
-                                  f"{settled.error!r}")
-            else:
-                out.status = "unexpected"
-                out.detail = f"wanted deadline reply, got {reply.reason!r}"
+            if reply.reason == protocol.REASON_DEADLINE:
+                _settle(client.submit(sc.spec), report, out, reasons=(),
+                        context="post-deadline settle failed: ")
+                if out.ok:
+                    out.resolution = f"reason:{protocol.REASON_DEADLINE}"
+            else:   # the cache was already warm, or the job was fast
+                _settle(reply, report, out, expect="record")
 
         elif sc.kind == "conn-drop":
             # Submit, hang up before the reply.  The execution must
@@ -457,7 +457,9 @@ def _run_one(sc: ServeFaultScenario, client: ServeClient,
                 {"op": protocol.OP_SUBMIT, "spec": sc.spec.to_dict(),
                  "wait": True}))
             report.accepted += 1
-            _settle_after_drop(client, sc.spec, report, out)
+            # The rude client's submission must still resolve: observe
+            # it via a coalescing/hit resubmit.
+            _settle(client.submit(sc.spec), report, out)
 
         elif sc.kind == "frame-truncate":
             payload = (b"\x00\xff\x80garbage\n",
@@ -478,7 +480,10 @@ def _run_one(sc: ServeFaultScenario, client: ServeClient,
             server.start()
             report.server_restarts += 1
             report.accepted += 1
-            _resolve_crashed(client, sc.spec, report, out)
+            # Resubmit (idempotent): the restarted server must deliver
+            # the record, waiting out any stale lease the dead one left.
+            _settle(client.submit(sc.spec), report, out, reasons=(),
+                    context="post-restart resubmit failed: ")
 
         else:  # pragma: no cover
             out.status = "unexpected"
@@ -488,41 +493,6 @@ def _run_one(sc: ServeFaultScenario, client: ServeClient,
         out.detail = f"{type(e).__name__}: {e}"
     out.wall_s = time.monotonic() - t0  # repro: allow(det-wallclock) campaign wall-clock reporting, host-side
     return out
-
-
-def _settle_after_drop(client: ServeClient, spec: JobSpec,
-                       report: ServeCampaignReport,
-                       out: ServeFaultOutcome) -> None:
-    """After the rude client hung up, the submission it fired must
-    still resolve — observe it via a coalescing/hit resubmit."""
-    reply = client.submit(spec)
-    out.run_id = reply.run_id
-    if reply.ok and reply.record is not None:
-        report.resolved += 1
-        out.resolution = "record"
-    elif reply.reason in _RESOLVING_REASONS:
-        report.resolved += 1
-        out.resolution = f"reason:{reply.reason}"
-    else:
-        out.status = "unresolved"
-        out.detail = f"error={reply.error!r} reason={reply.reason!r}"
-
-
-def _resolve_crashed(client: ServeClient, spec: JobSpec,
-                     report: ServeCampaignReport,
-                     out: ServeFaultOutcome) -> None:
-    """The server was SIGKILLed holding this job.  The client-side
-    contract: resubmit (idempotent) and the restarted server delivers —
-    waiting out any stale lease the dead server left behind."""
-    reply = client.submit(spec)
-    out.run_id = reply.run_id
-    if reply.ok and reply.record is not None:
-        report.resolved += 1
-        out.resolution = "record"
-    else:
-        out.status = "unresolved"
-        out.detail = (f"post-restart resubmit failed: "
-                      f"error={reply.error!r} reason={reply.reason!r}")
 
 
 def report_to_json(report: ServeCampaignReport) -> str:

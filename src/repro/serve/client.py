@@ -1,23 +1,21 @@
-"""Clients for the ``repro serve`` job service.
+"""The client for the ``repro serve`` job service.
 
-:class:`ServeClient` is synchronous and holds one *persistent*
-connection per thread: requests reuse the socket, a dead peer is
-detected on EOF and the client transparently reconnects and resends.
-The connection is thread-local so one client shared across a thread
-pool never interleaves frames — each thread speaks over its own
-socket.  Retries are safe by construction — ``run_id`` is content-addressed, so replaying a
-submit can only hit the cache or coalesce, never double-execute.
-Backoff between attempts uses decorrelated jitter so a thundering herd
-of clients re-approaching a restarted server spreads out instead of
-stampeding in lockstep.
+:class:`ServeClient` holds one *persistent* connection per thread:
+requests reuse the socket, a dead peer is detected on EOF and the
+client transparently reconnects and resends.  The connection is
+thread-local so one client shared across a thread pool never
+interleaves frames — each thread speaks over its own socket.  Retries
+are safe by construction — ``run_id`` is content-addressed, so
+replaying a submit can only hit the cache or coalesce, never
+double-execute.  Backoff between attempts uses decorrelated jitter so a
+thundering herd of clients re-approaching a restarted server spreads
+out instead of stampeding in lockstep.
 
-:class:`AsyncServeClient` is the asyncio twin; it deliberately opens
-one connection *per request* so thousands of submissions can be held
-open concurrently with ``asyncio.gather`` (a shared connection would
-serialize them), with the same retry/backoff envelope.
-
-Both speak :mod:`repro.serve.protocol` and return :class:`SubmitReply`
-for the job-shaped verbs.
+Every verb goes through one exchange path (:meth:`ServeClient._call`):
+send one :mod:`repro.serve.protocol` frame, read the reply frames, and
+on any failure that leaves a frame half-read drop the connection so the
+next request never reads a stale reply.  Job-shaped verbs return
+:class:`SubmitReply`.
 
     >>> with ServeClient(socket_path=".repro/serve.sock") as c:
     ...     r = c.submit(JobSpec(app="hello", nvp=2))
@@ -26,14 +24,13 @@ for the job-shaped verbs.
 
 from __future__ import annotations
 
-import asyncio
 import random
 import socket
 import threading
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Callable, Sequence
+from typing import Any, Sequence
 
 from repro.errors import ReproError
 from repro.harness.jobspec import JobSpec
@@ -98,8 +95,8 @@ def _spec_dict(spec: JobSpec | dict[str, Any]) -> dict[str, Any]:
 
 class _Backoff:
     """Decorrelated-jitter backoff (`sleep = U(base, prev*3)` capped).
-    Each client gets its own RNG so a fleet re-approaching a restarted
-    server spreads out instead of retrying in lockstep."""
+    Each thread's connection gets its own RNG so a fleet re-approaching
+    a restarted server spreads out instead of retrying in lockstep."""
 
     def __init__(self, base_s: float = BACKOFF_BASE_S,
                  cap_s: float = BACKOFF_CAP_S):
@@ -114,6 +111,16 @@ class _Backoff:
 
     def reset(self) -> None:
         self._prev = self.base_s
+
+
+class _Conn(threading.local):
+    """The calling thread's connection state: its socket, the unread
+    bytes after the last reply frame, and its backoff."""
+
+    def __init__(self, backoff_base_s: float, backoff_cap_s: float):
+        self.sock: socket.socket | None = None
+        self.buf = b""
+        self.backoff = _Backoff(backoff_base_s, backoff_cap_s)
 
 
 class ServeClient:
@@ -137,116 +144,109 @@ class ServeClient:
         self.host, self.port = host, port
         self.timeout = timeout
         self.retries = retries
-        self._backoff_base_s = backoff_base_s
-        self._backoff_cap_s = backoff_cap_s
-        self._local = threading.local()
-
-    # -- per-thread connection state ----------------------------------------
+        self._conn = _Conn(backoff_base_s, backoff_cap_s)
 
     @property
     def _sock(self) -> socket.socket | None:
-        return getattr(self._local, "sock", None)
-
-    @_sock.setter
-    def _sock(self, value: socket.socket | None) -> None:
-        self._local.sock = value
-
-    @property
-    def _buf(self) -> bytes:
-        return getattr(self._local, "buf", b"")
-
-    @_buf.setter
-    def _buf(self, value: bytes) -> None:
-        self._local.buf = value
-
-    @property
-    def _backoff(self) -> _Backoff:
-        bo = getattr(self._local, "backoff", None)
-        if bo is None:
-            bo = _Backoff(self._backoff_base_s, self._backoff_cap_s)
-            self._local.backoff = bo
-        return bo
+        """The calling thread's socket (None until its first request)."""
+        return self._conn.sock
 
     # -- transport ----------------------------------------------------------
 
-    def _connect(self) -> None:
+    def _connect(self) -> socket.socket:
         try:
             if self.socket_path is not None:
                 sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
                 sock.settimeout(self.timeout)
                 sock.connect(self.socket_path)
-            else:
-                sock = socket.create_connection(
-                    (self.host, self.port or 0), timeout=self.timeout)
+                return sock
+            return socket.create_connection(
+                (self.host, self.port or 0), timeout=self.timeout)
         except OSError as e:
             raise ServeConnectionError(
                 f"cannot reach serve at "
                 f"{self.socket_path or f'{self.host}:{self.port}'}: {e}"
             ) from None
-        self._sock = sock
-        self._buf = b""
 
     def close(self) -> None:
         """Close the *calling thread's* connection (other threads'
         sockets close when their thread exits or on their next EOF)."""
-        if self._sock is not None:
+        conn = self._conn
+        if conn.sock is not None:
             try:
-                self._sock.close()
+                conn.sock.close()
             except OSError:
                 pass
-            self._sock = None
-        self._buf = b""
+            conn.sock = None
+        conn.buf = b""
 
-    def _send(self, msg: dict[str, Any]) -> None:
-        assert self._sock is not None
-        try:
-            self._sock.sendall(protocol.encode(msg))
-        except OSError as e:
-            raise ServeConnectionError(
-                f"serve connection lost on send: {e}") from None
-
-    def _read_line(self) -> bytes:
-        assert self._sock is not None
-        while b"\n" not in self._buf:
+    def _read_reply(self) -> dict[str, Any]:
+        """Read and decode the next reply frame on this thread's
+        connection."""
+        conn = self._conn
+        assert conn.sock is not None
+        while b"\n" not in conn.buf:
             try:
-                chunk = self._sock.recv(65536)
+                chunk = conn.sock.recv(65536)
             except OSError as e:
                 raise ServeConnectionError(
                     f"serve connection lost: {e}") from None
             if not chunk:
                 raise ServeConnectionError("serve hung up (EOF)")
-            self._buf += chunk
-            if len(self._buf) > protocol.MAX_LINE:
+            conn.buf += chunk
+            if len(conn.buf) > protocol.MAX_LINE:
                 raise protocol.ProtocolError(
                     f"reply exceeds {protocol.MAX_LINE} bytes")
-        line, _, self._buf = self._buf.partition(b"\n")
-        return line + b"\n"
+        line, _, conn.buf = conn.buf.partition(b"\n")
+        return protocol.decode(line)
 
-    def _with_retry(self, exchange: Callable[[], Any]) -> Any:
-        """Run one request/reply exchange; on a connection failure,
-        reconnect and replay it (idempotent: run ids are content-
-        addressed), with decorrelated-jitter backoff between attempts."""
-        self._backoff.reset()
-        last: ServeConnectionError | None = None
-        for attempt in range(self.retries + 1):
+    def _call(self, msg: dict[str, Any], *,
+              deadline_ms: float | None = None
+              ) -> list[tuple[dict[str, Any], float]]:
+        """The one exchange path: send ``msg`` and return its reply
+        frames, each with the client-observed seconds since the call
+        began.  A verb gets one frame; ``submit_many`` gets every frame
+        before its terminator.
+
+        Any exception drops the connection, since it may leave a frame
+        half-read.  A connection failure is also retried on a fresh
+        connection (idempotent: run ids are content-addressed) after a
+        decorrelated-jitter backoff."""
+        if deadline_ms is not None:
+            msg = {**msg, "deadline_ms": deadline_ms}
+        stream = msg["op"] == protocol.OP_SUBMIT_MANY
+        conn = self._conn
+        conn.backoff.reset()
+        t0 = time.perf_counter()  # repro: allow(det-wallclock) client-observed host latency, reported not simulated
+        attempt = 0
+        while True:
             try:
-                if self._sock is None:
-                    self._connect()
-                out = exchange()
-                return out
-            except ServeConnectionError as e:
-                last = e
+                if conn.sock is None:
+                    conn.sock = self._connect()
+                try:
+                    conn.sock.sendall(protocol.encode(msg))
+                except OSError as e:
+                    raise ServeConnectionError(
+                        f"serve connection lost on send: {e}") from None
+                frames: list[tuple[dict[str, Any], float]] = []
+                while True:
+                    reply = self._read_reply()
+                    done = reply.get("op") == protocol.OP_SUBMIT_MANY_DONE
+                    if stream and done:
+                        return frames
+                    frames.append((reply, time.perf_counter() - t0))  # repro: allow(det-wallclock) client-observed host latency, reported not simulated
+                    if not stream:
+                        return frames
+            except BaseException as e:
                 self.close()
-                if attempt < self.retries:
-                    time.sleep(self._backoff.next_delay())  # repro: allow(det-wallclock) client retry pacing against a real server
-        assert last is not None
-        raise last
+                if (not isinstance(e, ServeConnectionError)
+                        or attempt == self.retries):
+                    raise
+            attempt += 1
+            time.sleep(conn.backoff.next_delay())  # repro: allow(det-wallclock) client retry pacing against a real server
 
     def _request(self, msg: dict[str, Any]) -> dict[str, Any]:
-        def exchange() -> dict[str, Any]:
-            self._send(msg)
-            return protocol.decode(self._read_line())
-        return self._with_retry(exchange)
+        return self._call(msg)[0][0]
 
     # -- verbs --------------------------------------------------------------
 
@@ -256,13 +256,10 @@ class ServeClient:
                chaos: dict[str, Any] | None = None) -> SubmitReply:
         msg: dict[str, Any] = {"op": protocol.OP_SUBMIT,
                                "spec": _spec_dict(spec), "wait": wait}
-        if deadline_ms is not None:
-            msg["deadline_ms"] = deadline_ms
         if chaos is not None:
             msg["chaos"] = chaos
-        t0 = time.perf_counter()  # repro: allow(det-wallclock) client-observed host latency, reported not simulated
-        reply = self._request(msg)
-        return SubmitReply.from_reply(reply, time.perf_counter() - t0)  # repro: allow(det-wallclock) client-observed host latency, reported not simulated
+        [(reply, wall)] = self._call(msg, deadline_ms=deadline_ms)
+        return SubmitReply.from_reply(reply, wall)
 
     def submit_many(self, specs: Sequence[JobSpec | dict[str, Any]], *,
                     wait: bool = True,
@@ -270,41 +267,31 @@ class ServeClient:
                     ) -> list[SubmitReply]:
         """Batch submit: one request, replies streamed back per job.
         Returned list is in *request order* (the wire order is
-        completion order; the client reorders by ``index``)."""
+        completion order; the client reorders by ``index``).  A job
+        without a reply carries the batch's un-indexed error, if the
+        server rejected the whole request."""
         msg: dict[str, Any] = {"op": protocol.OP_SUBMIT_MANY,
                                "specs": [_spec_dict(s) for s in specs],
                                "wait": wait}
-        if deadline_ms is not None:
-            msg["deadline_ms"] = deadline_ms
         n = len(specs)
-
-        def exchange() -> list[SubmitReply]:
-            t0 = time.perf_counter()  # repro: allow(det-wallclock) client-observed host latency, reported not simulated
-            self._send(msg)
-            out: list[SubmitReply | None] = [None] * n
-            while True:
-                reply = protocol.decode(self._read_line())
-                if reply.get("op") == protocol.OP_SUBMIT_MANY_DONE:
-                    break
-                wall = time.perf_counter() - t0  # repro: allow(det-wallclock) client-observed host latency, reported not simulated
-                sr = SubmitReply.from_reply(reply, wall)
-                if isinstance(sr.index, int) and 0 <= sr.index < n:
-                    out[sr.index] = sr
-            return [r if r is not None
-                    else SubmitReply(ok=False, index=i,
-                                     error="no reply for this index")
-                    for i, r in enumerate(out)]
-
-        return self._with_retry(exchange)
+        out: list[SubmitReply | None] = [None] * n
+        missing = "no reply for this index"
+        for reply, wall in self._call(msg, deadline_ms=deadline_ms):
+            sr = SubmitReply.from_reply(reply, wall)
+            if isinstance(sr.index, int) and 0 <= sr.index < n:
+                out[sr.index] = sr
+            elif sr.error:
+                missing = sr.error
+        return [r if r is not None
+                else SubmitReply(ok=False, index=i, error=missing)
+                for i, r in enumerate(out)]
 
     def await_result(self, run_id: str, *,
                      deadline_ms: float | None = None) -> SubmitReply:
-        msg: dict[str, Any] = {"op": protocol.OP_AWAIT, "run_id": run_id}
-        if deadline_ms is not None:
-            msg["deadline_ms"] = deadline_ms
-        t0 = time.perf_counter()  # repro: allow(det-wallclock) client-observed host latency, reported not simulated
-        reply = self._request(msg)
-        return SubmitReply.from_reply(reply, time.perf_counter() - t0)  # repro: allow(det-wallclock) client-observed host latency, reported not simulated
+        [(reply, wall)] = self._call({"op": protocol.OP_AWAIT,
+                                      "run_id": run_id},
+                                     deadline_ms=deadline_ms)
+        return SubmitReply.from_reply(reply, wall)
 
     def status(self, run_id: str) -> str:
         reply = self._request({"op": protocol.OP_STATUS, "run_id": run_id})
@@ -333,172 +320,3 @@ class ServeClient:
 
     def __exit__(self, *exc: Any) -> None:
         self.close()
-
-
-class AsyncServeClient:
-    """Asyncio client; one connection per request, so thousands of
-    submissions can be held open concurrently with ``asyncio.gather``.
-    Same retry/backoff envelope as :class:`ServeClient`."""
-
-    def __init__(self, socket_path: str | Path | None = None, *,
-                 host: str | None = None, port: int | None = None,
-                 retries: int = DEFAULT_RETRIES,
-                 backoff_base_s: float = BACKOFF_BASE_S,
-                 backoff_cap_s: float = BACKOFF_CAP_S):
-        if socket_path is None and host is None:
-            raise ReproError("need a socket_path or a host/port")
-        self.socket_path = str(socket_path) if socket_path else None
-        self.host, self.port = host, port
-        self.retries = retries
-        self._backoff_base_s = backoff_base_s
-        self._backoff_cap_s = backoff_cap_s
-
-    async def _open(self) -> tuple[asyncio.StreamReader,
-                                   asyncio.StreamWriter]:
-        try:
-            if self.socket_path is not None:
-                return await asyncio.open_unix_connection(
-                    self.socket_path, limit=protocol.MAX_LINE)
-            return await asyncio.open_connection(
-                self.host, self.port, limit=protocol.MAX_LINE)
-        except OSError as e:
-            raise ServeConnectionError(
-                f"cannot reach serve at "
-                f"{self.socket_path or f'{self.host}:{self.port}'}: {e}"
-            ) from None
-
-    async def _request_once(self, msg: dict[str, Any]) -> dict[str, Any]:
-        reader, writer = await self._open()
-        try:
-            try:
-                await protocol.write_message(writer, msg)
-                reply = await protocol.read_message(reader)
-            except OSError as e:
-                raise ServeConnectionError(
-                    f"serve connection lost: {e}") from None
-        finally:
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except OSError:
-                pass
-        if reply is None:
-            raise ServeConnectionError("serve hung up without a reply")
-        return reply
-
-    async def _request(self, msg: dict[str, Any]) -> dict[str, Any]:
-        backoff = _Backoff(self._backoff_base_s, self._backoff_cap_s)
-        last: ServeConnectionError | None = None
-        for attempt in range(self.retries + 1):
-            try:
-                return await self._request_once(msg)
-            except ServeConnectionError as e:
-                last = e
-                if attempt < self.retries:
-                    await asyncio.sleep(backoff.next_delay())
-        assert last is not None
-        raise last
-
-    async def submit(self, spec: JobSpec | dict[str, Any], *,
-                     wait: bool = True,
-                     deadline_ms: float | None = None,
-                     chaos: dict[str, Any] | None = None) -> SubmitReply:
-        msg: dict[str, Any] = {"op": protocol.OP_SUBMIT,
-                               "spec": _spec_dict(spec), "wait": wait}
-        if deadline_ms is not None:
-            msg["deadline_ms"] = deadline_ms
-        if chaos is not None:
-            msg["chaos"] = chaos
-        t0 = time.perf_counter()  # repro: allow(det-wallclock) client-observed host latency, reported not simulated
-        reply = await self._request(msg)
-        return SubmitReply.from_reply(reply, time.perf_counter() - t0)  # repro: allow(det-wallclock) client-observed host latency, reported not simulated
-
-    async def submit_many(self,
-                          specs: Sequence[JobSpec | dict[str, Any]], *,
-                          wait: bool = True,
-                          deadline_ms: float | None = None
-                          ) -> list[SubmitReply]:
-        """Batch submit over one streaming connection; results are
-        reordered into request order before returning."""
-        msg: dict[str, Any] = {"op": protocol.OP_SUBMIT_MANY,
-                               "specs": [_spec_dict(s) for s in specs],
-                               "wait": wait}
-        if deadline_ms is not None:
-            msg["deadline_ms"] = deadline_ms
-        n = len(specs)
-        backoff = _Backoff(self._backoff_base_s, self._backoff_cap_s)
-        last: ServeConnectionError | None = None
-        for attempt in range(self.retries + 1):
-            try:
-                return await self._submit_many_once(msg, n)
-            except ServeConnectionError as e:
-                last = e
-                if attempt < self.retries:
-                    await asyncio.sleep(backoff.next_delay())
-        assert last is not None
-        raise last
-
-    async def _submit_many_once(self, msg: dict[str, Any],
-                                n: int) -> list[SubmitReply]:
-        reader, writer = await self._open()
-        t0 = time.perf_counter()  # repro: allow(det-wallclock) client-observed host latency, reported not simulated
-        out: list[SubmitReply | None] = [None] * n
-        try:
-            try:
-                await protocol.write_message(writer, msg)
-                while True:
-                    reply = await protocol.read_message(reader)
-                    if reply is None:
-                        raise ServeConnectionError(
-                            "serve hung up mid-stream")
-                    if reply.get("op") == protocol.OP_SUBMIT_MANY_DONE:
-                        break
-                    wall = time.perf_counter() - t0  # repro: allow(det-wallclock) client-observed host latency, reported not simulated
-                    sr = SubmitReply.from_reply(reply, wall)
-                    if isinstance(sr.index, int) and 0 <= sr.index < n:
-                        out[sr.index] = sr
-            except OSError as e:
-                raise ServeConnectionError(
-                    f"serve connection lost: {e}") from None
-        finally:
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except OSError:
-                pass
-        return [r if r is not None
-                else SubmitReply(ok=False, index=i,
-                                 error="no reply for this index")
-                for i, r in enumerate(out)]
-
-    async def await_result(self, run_id: str, *,
-                           deadline_ms: float | None = None
-                           ) -> SubmitReply:
-        msg: dict[str, Any] = {"op": protocol.OP_AWAIT, "run_id": run_id}
-        if deadline_ms is not None:
-            msg["deadline_ms"] = deadline_ms
-        reply = await self._request(msg)
-        return SubmitReply.from_reply(reply)
-
-    async def status(self, run_id: str) -> str:
-        reply = await self._request({"op": protocol.OP_STATUS,
-                                     "run_id": run_id})
-        return reply.get("state", "unknown")
-
-    async def stats(self) -> dict[str, Any]:
-        reply = await self._request({"op": protocol.OP_STATS})
-        if not reply.get("ok"):
-            raise ReproError(f"stats failed: {reply.get('error')}")
-        return reply["stats"]
-
-    async def health(self) -> dict[str, Any]:
-        return await self._request({"op": protocol.OP_HEALTH})
-
-    async def ping(self) -> dict[str, Any]:
-        return await self._request({"op": protocol.OP_PING})
-
-    async def drain(self) -> dict[str, Any]:
-        return await self._request({"op": protocol.OP_DRAIN})
-
-    async def shutdown(self) -> dict[str, Any]:
-        return await self._request({"op": protocol.OP_SHUTDOWN})

@@ -60,7 +60,7 @@ import queue
 import threading
 import time
 from concurrent.futures import Future
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 from typing import Any
 
 from repro.harness.jobspec import JobSpec, result_hook_scope, run_spec_job
@@ -69,6 +69,10 @@ from repro.trace.stream import compress_timeline
 
 #: exit status a worker uses when the chaos kill hook fires
 CHAOS_EXIT = 86
+
+#: worker start method: fork would inherit the host's ULT-pool and
+#: loader state, so workers always start from a fresh interpreter
+MP_CONTEXT = "spawn"
 
 #: simulator state is process-wide; thread-mode pools in one process
 #: must never run two jobs at once, even across pool instances
@@ -170,9 +174,7 @@ class PoolStats:
     deadline_drops: int = 0  #: queued jobs dropped past their deadline
 
     def to_dict(self) -> dict[str, int]:
-        return {"retries": self.retries, "quarantined": self.quarantined,
-                "respawns": self.respawns,
-                "deadline_drops": self.deadline_drops}
+        return asdict(self)
 
 
 class WorkerPool:
@@ -187,8 +189,7 @@ class WorkerPool:
     """
 
     def __init__(self, workers: int = 2, *, mode: str = "process",
-                 mp_context: str = "spawn", retries: int = 2,
-                 max_respawns: int | None = None):
+                 retries: int = 2, max_respawns: int | None = None):
         if workers < 1:
             raise ValueError("need at least one worker")
         if mode not in ("process", "thread"):
@@ -207,7 +208,7 @@ class WorkerPool:
         self._closed = False
         self._pool_dead = False
         if mode == "process":
-            self._ctx = multiprocessing.get_context(mp_context)
+            self._ctx = multiprocessing.get_context(MP_CONTEXT)
             self._results = self._ctx.Queue()
             self._slots = [_Slot(wid=i) for i in range(workers)]
             self._idle: list[int] = []

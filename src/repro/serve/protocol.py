@@ -19,6 +19,9 @@ Requests (``op`` selects the verb)::
     {"op": "drain"}
     {"op": "shutdown"}
 
+``deadline_ms`` is a finite number of milliseconds or null; any other
+value is refused with an error reply before the request runs.
+
 Replies always carry ``ok``.  A successful ``submit``/``await`` reply
 carries ``run_id``, ``cache`` (``hit`` — served from the store;
 ``miss`` — this submission executed; ``coalesced`` — attached to an

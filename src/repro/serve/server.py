@@ -58,9 +58,10 @@ from __future__ import annotations
 import asyncio
 import contextlib
 import logging
+import math
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Any
 
@@ -76,6 +77,10 @@ _log = logging.getLogger(__name__)
 
 #: default Unix socket path, relative to the working directory
 DEFAULT_SOCKET = ".repro/serve.sock"
+
+#: ops that honor a ``deadline_ms`` field
+_DEADLINE_OPS = (protocol.OP_SUBMIT, protocol.OP_SUBMIT_MANY,
+                 protocol.OP_AWAIT)
 
 
 @dataclass
@@ -98,22 +103,28 @@ class ServeStats:
     started_at: float = field(default_factory=time.time)
 
     def to_dict(self) -> dict[str, Any]:
-        return {
-            "submissions": self.submissions,
-            "hits": self.hits,
-            "executed": self.executed,
-            "coalesced": self.coalesced,
-            "errors": self.errors,
-            "invalid": self.invalid,
-            "shed": self.shed,
-            "deadline_exceeded": self.deadline_exceeded,
-            "quarantined": self.quarantined,
-            "lease_waits": self.lease_waits,
-            "lease_takeovers": self.lease_takeovers,
-            "gc_cycles": self.gc_cycles,
-            "gc_errors": self.gc_errors,
-            "uptime_s": round(time.time() - self.started_at, 3),  # repro: allow(det-wallclock) operator-facing uptime metric, host-side
-        }
+        out = asdict(self)
+        out["uptime_s"] = round(time.time() - out.pop("started_at"), 3)  # repro: allow(det-wallclock) operator-facing uptime metric, host-side
+        return out
+
+
+def _malformed(msg: dict[str, Any]) -> str | None:
+    """Edge validation of the request fields the handlers compute with:
+    an error text for a malformed request, None for a well-formed one.
+    A bad ``deadline_ms`` is rejected here, before it can reach the
+    deadline arithmetic and crash the connection task."""
+    op = msg.get("op")
+    if op == protocol.OP_SUBMIT_MANY and not isinstance(msg.get("specs"),
+                                                        list):
+        return "submit_many needs a list of specs"
+    deadline = msg.get("deadline_ms")
+    if op in _DEADLINE_OPS and deadline is not None and (
+            isinstance(deadline, bool)
+            or not isinstance(deadline, (int, float))
+            or not math.isfinite(deadline)):
+        return (f"bad deadline_ms {deadline!r}: need a finite number "
+                f"of milliseconds or null")
+    return None
 
 
 class JobService:
@@ -138,7 +149,6 @@ class JobService:
                  host: str | None = None,
                  port: int = 0,
                  worker_mode: str = "process",
-                 mp_context: str = "spawn",
                  max_queue: int | None = 256,
                  retries: int = 2,
                  lease_ttl_s: float | None = LEASE_TTL_S,
@@ -153,7 +163,6 @@ class JobService:
         self.cache = ResultCache(self.store)
         self.workers = workers
         self.worker_mode = worker_mode
-        self.mp_context = mp_context
         self.max_queue = max_queue
         self.retries = retries
         self.lease_ttl_s = lease_ttl_s
@@ -196,7 +205,6 @@ class JobService:
     async def start(self) -> None:
         self._shutdown = asyncio.Event()
         self._pool = WorkerPool(self.workers, mode=self.worker_mode,
-                                mp_context=self.mp_context,
                                 retries=self.retries)
         if self.socket_path is not None:
             self.socket_path.parent.mkdir(parents=True, exist_ok=True)
@@ -291,7 +299,18 @@ class JobService:
                     break
                 if msg is None:
                     break
-                if msg.get("op") == protocol.OP_SUBMIT_MANY:
+                op = msg.get("op")
+                error = _malformed(msg)
+                if error is not None:
+                    self.stats.invalid += 1
+                    await protocol.write_message(
+                        writer, protocol.error_reply(error))
+                    if op == protocol.OP_SUBMIT_MANY:
+                        await protocol.write_message(
+                            writer, {"ok": False, "n": 0,
+                                     "op": protocol.OP_SUBMIT_MANY_DONE})
+                    continue
+                if op == protocol.OP_SUBMIT_MANY:
                     await self._submit_many(msg, writer)
                     continue
                 reply = await self._dispatch(msg)
@@ -600,15 +619,7 @@ class JobService:
                            writer: asyncio.StreamWriter) -> None:
         """One request, N specs: replies stream back per job in
         completion order (each tagged ``index``), then a terminator."""
-        specs = msg.get("specs")
-        if not isinstance(specs, list):
-            await protocol.write_message(
-                writer, protocol.error_reply(
-                    "submit_many needs a list of specs"))
-            await protocol.write_message(
-                writer, {"ok": False, "op": protocol.OP_SUBMIT_MANY_DONE,
-                         "n": 0})
-            return
+        specs = msg["specs"]
         wait = bool(msg.get("wait", True))
         deadline_ms = msg.get("deadline_ms")
 

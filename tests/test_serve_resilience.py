@@ -12,7 +12,6 @@ crash tests use real worker processes (threads cannot be killed).
 
 import concurrent.futures
 import json
-import os
 import socket as socketlib
 import threading
 import time
@@ -21,6 +20,7 @@ import pytest
 
 from repro.harness.jobspec import JobSpec
 from repro.provenance import ProvenanceStore
+from repro.serve import pool as pool_mod
 from repro.serve import (
     CACHE_HIT,
     JobService,
@@ -184,6 +184,36 @@ class TestServiceDeadlines:
                 settled = client.submit(_spec("slowpoke", yields=40))
             assert settled.ok and settled.record is not None
 
+    @pytest.mark.parametrize("bad", ["5", [1], {}, True])
+    @pytest.mark.parametrize("op", ["submit", "submit_many", "await"])
+    def test_malformed_deadline_is_a_typed_error(self, tmp_path, op, bad):
+        # A non-numeric deadline used to crash the connection task in
+        # the deadline arithmetic: the client saw only EOF and retried
+        # into the same crash.  It must be refused at the edge instead,
+        # on a connection that stays usable.
+        service = _service(tmp_path)
+        with ServiceThread(service):
+            client = _client(tmp_path, timeout=10.0, retries=0)
+            client.ping()
+            sock = client._sock
+            # Hold the thread-mode executor so the first job stays in
+            # flight: ``await`` then reaches its deadline arithmetic.
+            with pool_mod._THREAD_EXEC_LOCK:
+                inflight = client.submit(_spec("held"), wait=False)
+                if op == "submit":
+                    reply = client.submit(_spec("fresh"), deadline_ms=bad)
+                elif op == "submit_many":
+                    [reply] = client.submit_many([_spec("fresh")],
+                                                 deadline_ms=bad)
+                else:
+                    reply = client.await_result(inflight.run_id,
+                                                deadline_ms=bad)
+                assert not reply.ok
+                assert "bad deadline_ms" in reply.error
+                assert service.stats.invalid == 1
+                assert client.ping()["ok"]
+                assert client._sock is sock
+
 
 # ---------------------------------------------------------------------------
 # service: poison quarantine memory (served without burning workers)
@@ -253,6 +283,45 @@ class TestClientReconnect:
             client.ping()
             client.health()
             assert client._sock is sock
+
+    def test_protocol_error_drops_the_half_read_connection(self, tmp_path):
+        # A fake server answers the first request with a garbage line
+        # followed by a well-formed one.  The garbage raises; the
+        # leftover line must not be handed to the next request as its
+        # reply (the regression: request 2 returned request 1's tail).
+        path = str(tmp_path / "fake.sock")
+        listener = socketlib.socket(socketlib.AF_UNIX,
+                                    socketlib.SOCK_STREAM)
+        listener.bind(path)
+        listener.listen()
+        listener.settimeout(10.0)
+
+        def fake_server() -> None:
+            replies = [b'not json\n{"ok":true,"stale":true}\n',
+                       b'{"ok":true,"fresh":true}\n']
+            try:
+                while replies:
+                    conn, _ = listener.accept()
+                    with conn, conn.makefile("rb") as lines:
+                        for _ in lines:
+                            conn.sendall(replies.pop(0))
+                            if not replies:
+                                break
+            except OSError:
+                pass
+
+        t = threading.Thread(target=fake_server, daemon=True)
+        t.start()
+        client = ServeClient(socket_path=path, timeout=10.0, retries=0)
+        try:
+            with pytest.raises(protocol.ProtocolError):
+                client.ping()
+            assert client.ping() == {"ok": True, "fresh": True}
+        finally:
+            client.close()
+            listener.close()
+            t.join(timeout=10.0)
+        assert not t.is_alive()
 
     def test_shared_client_is_thread_safe(self, tmp_path):
         # One client across a thread pool: connections are thread-local,
