@@ -10,7 +10,6 @@ matrix tests cross-check against the runtime correctness probes of
 
 from __future__ import annotations
 
-import dataclasses
 import time
 from dataclasses import dataclass, field
 
@@ -26,7 +25,7 @@ from repro.analyze.rules import (
 from repro.privatization.base import PrivatizationMethod
 from repro.privatization.registry import get_method
 from repro.program.source import ProgramSource
-from repro.sanitize.findings import Finding, Severity, sort_findings
+from repro.sanitize.findings import Finding, Severity, sort_findings, with_phase
 
 #: methods from cheapest to most heavyweight machinery; the predicted
 #: minimal method is the first one that privatizes every variable the
@@ -89,8 +88,7 @@ def analyze_source(source: ProgramSource, *,
     findings += migration_findings(model)
     findings += comm_findings(model)
     findings += determinism_findings(model)
-    findings = [f if f.phase else dataclasses.replace(f, phase="source")
-                for f in _dedupe(findings)]
+    findings = with_phase(_dedupe(findings), "source")
     for name in model.unscanned:
         findings.append(Finding(
             code="ana-source-unavailable", severity=Severity.WARNING,

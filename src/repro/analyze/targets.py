@@ -7,8 +7,8 @@ Accepted target forms:
 ``apps``             every registered app
 ``example:<name>``   one bundled ``examples/*.py`` script's program
 ``examples``         every bundled example
-``fixture:<name>``   one seeded-violation fixture
-``fixtures``         every fixture
+``fixture:<name>``   one source-phase seeded-violation fixture
+``fixtures``         every source-phase fixture
 ``self``             determinism self-lint over ``src/repro`` itself
 """
 
@@ -114,12 +114,9 @@ def resolve_targets(target: str) -> list[tuple[str, ProgramSource, dict]]:
     if target == "fixtures":
         from repro.analyze.fixtures import fixture_names, get_fixture
 
-        out = []
-        for n in fixture_names():
-            fx = get_fixture(n)
-            out.append((f"fixture:{n}", fx.build(),
-                        dict(fx.analyze_kwargs)))
-        return out
+        fxs = [get_fixture(n) for n in fixture_names()]
+        return [(f"fixture:{fx.name}", fx.body(), dict(fx.analyze_kwargs))
+                for fx in fxs if fx.phase == "source"]
     if target.startswith("example:"):
         name = target.partition(":")[2]
         return [(target, build_example(name), {})]
@@ -127,7 +124,12 @@ def resolve_targets(target: str) -> list[tuple[str, ProgramSource, dict]]:
         from repro.analyze.fixtures import get_fixture
 
         fx = get_fixture(target.partition(":")[2])
-        return [(target, fx.build(), dict(fx.analyze_kwargs))]
+        if fx.phase != "source":
+            raise ValueError(
+                f"fixture {fx.name!r} is a {fx.phase}-phase fixture; "
+                f"run it with `repro check {target}`"
+            )
+        return [(target, fx.body(), dict(fx.analyze_kwargs))]
     if target in app_names():
         return [(target, app_source(target), {})]
     raise ValueError(

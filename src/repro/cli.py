@@ -402,7 +402,8 @@ def cmd_check(args) -> int:
     try:
         if args.target == "examples":
             reports = check_examples(args.method, nvp=args.nvp,
-                                     static_only=args.static_only)
+                                     static_only=args.static_only,
+                                     slot_size=args.slot_size)
         else:
             reports = [run_check(args.target, args.method, nvp=args.nvp,
                                  static_only=args.static_only,

@@ -8,14 +8,19 @@ programs), which the core sanitize package must not depend on.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Any
 
 from repro.machine import GENERIC_LINUX, MachineModel
 from repro.program.binary import Binary
 from repro.program.compiler import CompileOptions, Compiler
-from repro.program.source import Program, ProgramSource
-from repro.sanitize.findings import Finding, Severity, sort_findings
+from repro.program.source import ProgramSource
+from repro.sanitize.findings import (
+    Finding,
+    has_errors,
+    sort_findings,
+    with_phase,
+)
 from repro.sanitize.static import (
     StaticLinter,
     compat_findings,
@@ -44,7 +49,7 @@ class CheckReport:
 
     @property
     def ok(self) -> bool:
-        return not any(f.severity is Severity.ERROR for f in self.findings)
+        return not has_errors(self.findings)
 
     def to_dict(self) -> dict[str, Any]:
         return {
@@ -59,30 +64,17 @@ class CheckReport:
         }
 
 
-def _hello_program() -> ProgramSource:
-    p = Program("hello_world")
-    p.add_global("my_rank", -1)
-
-    @p.function()
-    def main(ctx):
-        ctx.g.my_rank = ctx.mpi.rank()
-        ctx.mpi.barrier()
-        return f"rank: {ctx.g.my_rank}"
-
-    return p.build()
-
-
 def _target_source(target: str) -> ProgramSource:
+    from repro.analyze.targets import app_source
+    from repro.harness.capabilities import correctness_program
+
+    # hello and jacobi are the registry apps at their analysis-sized
+    # configs: the lint is layout-driven, not scale-driven.
     if target == "hello":
-        return _hello_program()
+        return app_source("hello")
     if target == "jacobi":
-        from repro.apps import JacobiConfig, build_jacobi_program
-
-        # Small instance: the lint is layout-driven, not scale-driven.
-        return build_jacobi_program(JacobiConfig(n=12, iters=4))
+        return app_source("jacobi3d")
     if target == "probe":
-        from repro.harness.capabilities import correctness_program
-
         return correctness_program()
     raise ValueError(
         f"unknown check target {target!r}; have "
@@ -104,23 +96,11 @@ def run_check(
     from repro.privatization.registry import get_method
 
     if target.startswith("fixture:"):
-        name = target.partition(":")[2]
-        if name.startswith("ana-"):
-            # Analyzer fixtures are source-phase only: no binary to
-            # lint, no execution — the defect lives in the bodies.
-            from repro.analyze.fixtures import analyze_fixture
+        from repro.analyze.fixtures import get_fixture
 
-            return CheckReport(
-                target=target, method=method, nvp=nvp,
-                findings=analyze_fixture(name).findings,
-            )
-        from repro.sanitize.fixtures import run_fixture
-
-        return CheckReport(
-            target=target, method=method, nvp=nvp,
-            findings=sort_findings(
-                _tag_phase(run_fixture(name), _fixture_phase)),
-        )
+        fx = get_fixture(target.partition(":")[2])
+        return CheckReport(target=target, method=method, nvp=nvp,
+                           findings=sort_findings(fx.run()))
 
     m = get_method(method)
     source = _target_source(target)
@@ -134,12 +114,10 @@ def run_check(
         source, opts, extra_units=extra
     )
 
-    findings: list[Finding] = []
-    findings += _tag_phase(StaticLinter().lint_images([binary.image]),
-                           "static")
-    findings += _tag_phase(compat_findings(binary, m), "static")
-    findings += _tag_phase(project_isomalloc(binary, m, nvp, slot_size),
-                           "static")
+    findings = with_phase(
+        StaticLinter().lint_images([binary.image])
+        + compat_findings(binary, m)
+        + project_isomalloc(binary, m, nvp, slot_size), "static")
 
     # Source phase: interprocedural AST analysis of the function bodies.
     # Run without the method so declared-vs-observed mismatches surface
@@ -152,29 +130,11 @@ def run_check(
         target=target, method=method, nvp=nvp,
         findings=[], features=program_features(binary),
     )
-    if not static_only and not any(
-        f.severity is Severity.ERROR for f in findings
-    ):
-        findings += _tag_phase(
+    if not static_only and not has_errors(findings):
+        findings += with_phase(
             _execute(binary, m, nvp, slot_size, machine, report), "runtime")
     report.findings = sort_findings(findings)
     return report
-
-
-def _tag_phase(findings, phase) -> list[Finding]:
-    """Stamp a pipeline phase on findings that don't carry one.
-
-    ``phase`` is either the phase string or a ``code -> phase`` callable
-    (fixture findings mix detector families).
-    """
-    pick = phase if callable(phase) else (lambda _code: phase)
-    return [f if f.phase else replace(f, phase=pick(f.code)) for f in findings]
-
-
-def _fixture_phase(code: str) -> str:
-    """Sanitizer fixtures mix static and runtime detectors; map by code."""
-    head = code.split("-")[0]
-    return "runtime" if head in ("race", "stale", "foreign", "use") else "static"
 
 
 def _execute(binary, method, nvp, slot_size, machine,
@@ -202,10 +162,12 @@ def _execute(binary, method, nvp, slot_size, machine,
 
 
 def check_examples(
-    method: str = "pieglobals", *, nvp: int = 8, static_only: bool = False
+    method: str = "pieglobals", *, nvp: int = 8, static_only: bool = False,
+    slot_size: int = 1 << 26,
 ) -> list[CheckReport]:
     """``repro check examples``: every bundled example program."""
     return [
-        run_check(t, method, nvp=nvp, static_only=static_only)
+        run_check(t, method, nvp=nvp, static_only=static_only,
+                  slot_size=slot_size)
         for t in EXAMPLE_TARGETS
     ]

@@ -10,7 +10,7 @@ byte-for-byte.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Any, Iterable
 
 
@@ -108,6 +108,11 @@ class Finding:
 def sort_findings(findings: Iterable[Finding]) -> list[Finding]:
     """Deterministic order: severity, then code/image/symbol/vp/address."""
     return sorted(findings, key=Finding.sort_key)
+
+
+def with_phase(findings: Iterable[Finding], phase: str) -> list[Finding]:
+    """Stamp a pipeline phase on the findings that don't carry one."""
+    return [f if f.phase else replace(f, phase=phase) for f in findings]
 
 
 def has_errors(findings: Iterable[Finding]) -> bool:

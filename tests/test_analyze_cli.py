@@ -2,8 +2,6 @@
 
 import json
 
-import pytest
-
 from repro.cli import main
 
 
@@ -47,6 +45,14 @@ class TestAnalyzeCommand:
 
     def test_unknown_target(self, capsys):
         assert main(["analyze", "no-such-thing"]) == 2
+
+    def test_fixture_of_another_phase(self, capsys):
+        # The fixture exists, but its detector is the image linter:
+        # name the phase and point at the command that runs it.
+        assert main(["analyze", "fixture:reloc-unresolved"]) == 2
+        err = capsys.readouterr().err
+        assert "static-phase fixture" in err
+        assert "repro check fixture:reloc-unresolved" in err
 
     def test_json_report_shape(self, capsys):
         assert main(["analyze", "jacobi3d", "--json"]) == 0

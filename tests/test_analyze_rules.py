@@ -4,39 +4,46 @@ every bundled app and example analyzes clean."""
 import pytest
 
 from repro.analyze import analyze_source, classify_globals, build_model
-from repro.analyze.fixtures import (
-    EXPECTED,
-    analyze_fixture,
-    fixture_names,
-    get_fixture,
-)
+from repro.analyze.fixtures import EXPECTED, fixture_names, get_fixture
 from repro.analyze.targets import (
     APP_CONFIGS,
     app_source,
     build_example,
     example_names,
+    resolve_targets,
 )
 from repro.program.source import Program
 from repro.sanitize.findings import Severity
 
+SOURCE_FIXTURES = [n for n in fixture_names()
+                   if get_fixture(n).phase == "source"]
+
+
+def _analyze(name):
+    """What ``repro analyze fixture:<name>`` runs for one fixture."""
+    ((label, source, kw),) = resolve_targets(f"fixture:{name}")
+    return analyze_source(source, target=label, **kw)
+
 
 class TestFixtures:
     def test_catalog_size(self):
-        assert len(fixture_names()) >= 12
+        assert len(SOURCE_FIXTURES) >= 12
 
     def test_all_rule_families_covered(self):
-        heads = {c.split("-")[0] for codes in EXPECTED.values()
-                 for c in codes}
+        heads = {c.split("-")[0] for n in SOURCE_FIXTURES
+                 for c in EXPECTED[n]}
         assert heads == {"pv", "mig", "comm", "det"}
 
-    @pytest.mark.parametrize("name", fixture_names())
+    @pytest.mark.parametrize("name", SOURCE_FIXTURES)
     def test_exact_codes(self, name):
-        report = analyze_fixture(name)
+        # Through target resolution and the fixture's analyzer kwargs;
+        # the catalog-wide test in test_sanitize_static runs Fixture.run.
+        report = _analyze(name)
         assert {f.code for f in report.findings} == set(EXPECTED[name])
 
-    @pytest.mark.parametrize("name", fixture_names())
+    @pytest.mark.parametrize("name", SOURCE_FIXTURES)
     def test_findings_carry_locations(self, name):
-        report = analyze_fixture(name)
+        report = _analyze(name)
         for f in report.findings:
             assert f.phase == "source"
             if f.code != "pv-unneeded-privatization":  # aggregate
@@ -47,7 +54,11 @@ class TestFixtures:
         # The suggest-mode fixture is clean under default analysis: the
         # info finding is opt-in.
         fx = get_fixture("ana-unneeded-privatization")
-        assert analyze_source(fx.build()).ok
+        assert analyze_source(fx.body()).ok
+
+    def test_fixtures_target_is_the_source_phase(self):
+        labels = [label for label, _, _ in resolve_targets("fixtures")]
+        assert labels == [f"fixture:{n}" for n in SOURCE_FIXTURES]
 
 
 class TestAppsAndExamplesClean:
@@ -107,17 +118,17 @@ class TestClassification:
 
 class TestSeverities:
     def test_unneeded_privatization_is_info(self):
-        report = analyze_fixture("ana-unneeded-privatization")
+        report = _analyze("ana-unneeded-privatization")
         (f,) = report.findings
         assert f.severity is Severity.INFO
 
     def test_set_iteration_is_warning(self):
-        report = analyze_fixture("ana-set-iteration")
+        report = _analyze("ana-set-iteration")
         (f,) = report.findings
         assert f.severity is Severity.WARNING
 
     def test_divergent_collective_is_error(self):
-        report = analyze_fixture("ana-collective-divergent")
+        report = _analyze("ana-collective-divergent")
         (f,) = report.findings
         assert f.severity is Severity.ERROR
 

@@ -8,7 +8,7 @@ import json
 import pytest
 
 from repro.cli import build_parser, main
-from repro.sanitize.fixtures import EXPECTED
+from repro.analyze.fixtures import EXPECTED
 
 
 class TestCheck:
@@ -73,6 +73,15 @@ class TestCheck:
         assert isinstance(payload, list)
         assert {r["target"] for r in payload} == {"hello", "jacobi", "probe"}
         assert all(r["ok"] for r in payload)
+
+    def test_examples_mode_honors_slot_size(self, capsys):
+        # A 4 KiB slot cannot hold a rank's stack: every example must
+        # fail the Isomalloc projection, exactly as a single target does.
+        assert main(["check", "examples", "--slot-size", "4096",
+                     "--static-only", "--json"]) == 1
+        payload = json.loads(capsys.readouterr().out)
+        for r in payload:
+            assert "iso-exhaustion" in {f["code"] for f in r["findings"]}
 
 
 class TestRunSanitize:

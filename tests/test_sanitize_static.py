@@ -1,4 +1,5 @@
-"""Static linter: seeded violations fire, clean binaries stay clean."""
+"""Static linter and the seeded-fixture catalog: every seeded violation
+fires in its declared phase, clean binaries stay clean."""
 
 from __future__ import annotations
 
@@ -16,7 +17,7 @@ from repro.sanitize import (
     project_isomalloc,
     sort_findings,
 )
-from repro.sanitize.fixtures import EXPECTED, fixture_names, run_fixture
+from repro.analyze.fixtures import EXPECTED, fixture_names, get_fixture
 
 from conftest import make_hello
 
@@ -29,23 +30,31 @@ def _compile(source, method):
     return Compiler(GENERIC_LINUX.toolchain).compile(source, opts)
 
 
-# -- seeded violations ------------------------------------------------------
+# -- seeded violations: the whole fixture catalog, every phase --------------
 
 @pytest.mark.parametrize("name", fixture_names())
 def test_fixture_reports_exactly_its_codes(name):
-    findings = run_fixture(name)
+    fx = get_fixture(name)
+    findings = fx.run()
     assert findings, f"fixture {name} produced no findings"
     assert {f.code for f in findings} == EXPECTED[name]
-    assert all(f.severity is Severity.ERROR for f in findings)
+    assert {f.phase for f in findings} == {fx.phase}
+    if fx.phase != "source":
+        # The analyzer grades its own rules (det-set-iteration is a
+        # warning); every sanitizer detector finding is an error.
+        assert all(f.severity is Severity.ERROR for f in findings)
 
 
 def test_unknown_fixture_rejected():
     with pytest.raises(ValueError, match="unknown fixture"):
-        run_fixture("no-such-thing")
+        get_fixture("no-such-thing")
 
 
 def test_every_fixture_has_expectations():
     assert set(fixture_names()) == set(EXPECTED)
+    phases = [get_fixture(n).phase for n in fixture_names()]
+    assert {p: phases.count(p) for p in set(phases)} == {
+        "static": 10, "source": 16, "runtime": 6}
 
 
 # -- clean binaries lint clean ----------------------------------------------
