@@ -9,17 +9,26 @@ clock, and nothing with an earlier effective start exists when it runs.
 Per context switch the scheduler charges the baseline switch cost plus
 the active privatization method's surcharge (TLS pointer swap, GOT swap)
 — the quantity Figure 6 measures.
+
+The loop is one *dispatch step* (:meth:`JobScheduler._step`) run on
+whichever OS thread holds the baton: a yielding or finishing ULT runs
+it on its own stack and wakes the next ULT directly (a direct yield-to,
+as in Argobots and Qthreads), so a quantum costs one OS handoff, or
+none when the next quantum is the yielder's own.  The thread that
+called :meth:`JobScheduler.run` sleeps until the baton comes home.
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
+from _thread import allocate_lock
 from typing import TYPE_CHECKING, Callable
 
 from repro.errors import DeadlockError, ReproError
 from repro.perf.costs import CostModel
 from repro.perf.counters import CounterSet, EV_CTX_SWITCH
+from repro.threads.pool import shared_pool
 from repro.threads.runqueue import RunQueue
 from repro.threads.ult import UltState, UserLevelThread
 from repro.trace.recorder import PE_TID, TraceRecorder
@@ -32,7 +41,6 @@ class JobScheduler:
     """Runs all virtual ranks of a job to completion."""
 
     def __init__(self, costs: CostModel, ctx_switch_extra_ns: int = 0,
-                 record_timeline: bool = True,
                  trace: TraceRecorder | None = None,
                  trace_pid_base: int = 0, trace_label: str = ""):
         self.costs = costs
@@ -45,16 +53,14 @@ class JobScheduler:
         self._ranks_by_tid: dict[int, "VirtualRank"] = {}
         self._tid_by_vp: dict[int, int] = {}
         self._all_ranks: list["VirtualRank"] = []
-        #: ULT OS threads that survived their join timeout at shutdown
+        #: pool workers wedged at shutdown by user code that swallowed
+        #: UltKilled (see :meth:`shutdown`)
         self.orphaned = 0
         self.runq = RunQueue(self._pe_busy_of, pe_of=self._pe_of)
         #: (pe index, vp, start ns) per scheduling quantum, in order —
         #: consumed by the instruction-cache study to reconstruct the
         #: interleaving of rank code on each PE.
-        self.record_timeline = record_timeline
         self.timeline: list[tuple[int, int, int]] = []
-        #: called after each rank finishes (runtime hooks e.g. finalize)
-        self.on_rank_done: Callable[["VirtualRank"], None] | None = None
         #: fault-injection hook, called with each quantum's effective
         #: start time before it runs; returning True means a fault fired
         #: and rolled the job back — the popped quantum is stale
@@ -68,6 +74,13 @@ class JobScheduler:
         #: the hot loop) unless a subsystem schedules one.
         self._timers: list[tuple[int, int, Callable[[], None]]] = []
         self._timer_seq = itertools.count()
+        #: the open quantum ``(rank, ult, pe at its start, start ns)``
+        self._quantum: tuple | None = None
+        #: held while the baton is away; released when it comes home
+        self._home = allocate_lock()
+        self._home.acquire()
+        #: an exception a dispatch step raised off this thread
+        self._failure: BaseException | None = None
 
     # -- setup ------------------------------------------------------------------
 
@@ -162,134 +175,173 @@ class JobScheduler:
     # -- the event loop ------------------------------------------------------------------
 
     def run(self) -> None:
-        # The loop below runs once per scheduling quantum — hundreds of
-        # thousands of iterations for paper-scale sweeps — so everything
-        # invariant across quanta is hoisted into locals, including the
-        # trace/timeline/fault guards (all three are decided before run()
-        # and stay fixed for its duration).
-        ctx_switch_ns = self.costs.context_switch_ns + self.ctx_switch_extra_ns
-        tr = self.trace
-        pid_base = self.trace_pid_base
-        runq_pop = self.runq.pop
-        ranks_by_tid = self._ranks_by_tid
-        incr_ctx = self.counters.incr
-        fault_check = self.fault_check
-        on_quantum = self.on_quantum
-        record_timeline = self.record_timeline
-        timeline_append = self.timeline.append
+        """Run the job until every rank has finished.
+
+        The baton comes home (``_home``) when the run queue is empty, a
+        dispatch step raised (a rank's error included), or, in a
+        fault-injected job, after every quantum.
+        """
+        # One idle pool worker per queued ULT, created here: bound inside
+        # a dispatch step instead, each new OS thread would be created on
+        # (and deepen by a page) the stack of the ULT running that step.
+        shared_pool().prewarm(len(self.runq))
+        step = self._step
+        home_acquire = self._home.acquire
         timers = self._timers
-        heappop = heapq.heappop
-        DONE = UltState.DONE
-        ERROR = UltState.ERROR
         try:
             while True:
-                item = runq_pop()
-                if item is None:
-                    if timers:
-                        # Nothing runnable but a timeout is pending (e.g.
-                        # a retransmission whose receiver blocks on it).
-                        # The fault check runs *before* the pop: a crash
-                        # firing here may roll the job back, and under
-                        # local recovery a survivor's timer must stay in
-                        # the heap and fire after the outage — popping
-                        # first would silently drop it (a lost
-                        # retransmission deadlocks its receiver).
-                        at = timers[0][0]
-                        if fault_check is not None and fault_check(at):
-                            continue
-                        at, _, fn = heappop(timers)
-                        fn()
+                ult = step()
+                if ult is not None:
+                    ult.wake(self._pass_baton)
+                    home_acquire()
+                    exc = self._failure
+                    if exc is not None:
+                        self._failure = None
+                        raise exc
+                    continue
+                if timers:
+                    # Nothing runnable but a timeout is pending (e.g. a
+                    # retransmission whose receiver blocks on it).  The
+                    # fault check runs *before* the pop: a crash firing
+                    # here may roll the job back, and under local
+                    # recovery a survivor's timer must stay in the heap
+                    # and fire after the outage — popping first would
+                    # silently drop it (a lost retransmission deadlocks
+                    # its receiver).
+                    at = timers[0][0]
+                    if self.fault_check is not None and self.fault_check(at):
                         continue
-                    if all(r.finished for r in self._all_ranks):
-                        return
-                    self._report_deadlock()
-                ult, ready_time = item
-                rank = ranks_by_tid.get(ult.tid)
-                if rank is None:
-                    # Stale quantum of a rolled-back ULT generation
-                    # (local recovery does not flush survivors' queues).
+                    at, _, fn = heapq.heappop(timers)
+                    fn()
                     continue
-                pe = rank.pe
-                busy_until = pe.busy_until
-                eff_start = ready_time if ready_time > busy_until \
-                    else busy_until
-
-                if timers and timers[0][0] <= eff_start:
-                    # Timers due before this quantum may deliver messages
-                    # (or fire a crash) that change who should run next:
-                    # fire them, requeue the popped quantum, re-pop.
-                    while timers and timers[0][0] <= eff_start:
-                        at = timers[0][0]
-                        if fault_check is not None and fault_check(at):
-                            continue  # rollback may have cleared timers
-                        at, _, fn = heappop(timers)
-                        fn()
-                    if ranks_by_tid.get(ult.tid) is rank:
-                        self.runq.push(ult, ready_time)
-                    continue
-
-                if fault_check is not None and fault_check(eff_start):
-                    # A fault fired and the job rolled back.  Under
-                    # global recovery the popped quantum belongs to a
-                    # killed ULT generation; under local recovery a
-                    # survivor's quantum stays valid and is requeued.
-                    if ranks_by_tid.get(ult.tid) is rank:
-                        self.runq.push(ult, ready_time)
-                    continue
-
-                if ready_time > busy_until:
-                    if tr is not None:
-                        tr.span("idle", "sched-idle", busy_until,
-                                ready_time - busy_until,
-                                pid=pid_base + pe.index,
-                                tid=PE_TID)
-                    pe.idle_ns += ready_time - busy_until
-                    switch_at = ready_time
-                else:
-                    switch_at = busy_until
-                start = switch_at + ctx_switch_ns
-                pe.ctx_switches += 1
-                incr_ctx(EV_CTX_SWITCH)
-                ult.clock.advance_to(start)
-                if tr is not None:
-                    tr.span("ctx-switch", "sched-overhead", switch_at,
-                            ctx_switch_ns,
-                            pid=pid_base + pe.index, tid=rank.vp,
-                            args={"method": self.trace_label,
-                                  "surcharge_ns": self.ctx_switch_extra_ns})
-
-                if record_timeline:
-                    timeline_append((pe.index, rank.vp, start))
-                if on_quantum is not None:
-                    on_quantum()
-                self.current = rank
-                state = ult.switch_in()
-                self.current = None
-
-                now = ult.clock.now
-                ran_ns = now - start
-                if ran_ns < 0:
-                    ran_ns = 0
-                rank.record_run(ran_ns)
-                pe.busy_ns += ran_ns
-                pe.busy_until = now
-                pe.last_rank = rank
-                if tr is not None and ran_ns > 0:
-                    tr.span(f"vp{rank.vp}", "exec", start, ran_ns,
-                            pid=pid_base + pe.index, tid=rank.vp)
-
-                if state is DONE:
-                    rank.finished = True
-                    rank.exit_value = ult.result
-                    if self.on_rank_done is not None:
-                        self.on_rank_done(rank)
-                elif state is ERROR:
-                    exc = ult.exception
-                    self.shutdown()
-                    raise exc
+                if all(r.finished for r in self._all_ranks):
+                    return
+                self._report_deadlock()
         finally:
             # Leave no orphan OS threads behind on any exit path.
             self.shutdown()
+
+    def _pass_baton(self, ult: UserLevelThread) -> bool:
+        """The baton of every ULT this scheduler wakes: runs the next
+        dispatch step on ``ult``'s own stack and wakes the next ULT; True
+        means ``ult`` itself runs next.
+
+        Anything else goes home: an exception must surface from
+        :meth:`run`, never in user code or on a pool worker, and a
+        fault-injected job's rollback kills ULTs, which must not happen
+        on a ULT's own stack.
+        """
+        try:
+            if self.fault_check is None:
+                nxt = self._step()
+                if nxt is ult:
+                    return True
+                if nxt is not None:
+                    nxt.wake(self._pass_baton)
+                    return False
+        except BaseException as e:  # noqa: BLE001 - raised by run()
+            self._failure = e
+        self._home.release()
+        return False
+
+    def _step(self) -> UserLevelThread | None:
+        """The dispatch step: close the quantum that just ended, open the
+        next one, and return its ULT (None when the run queue is empty).
+
+        Closing charges the run to the PE captured when the quantum
+        opened: a rank that migrated itself mid-quantum has a new ``pe``
+        by now.  Raises a rank's exception if its ULT ended in ERROR.
+        """
+        tr = self.trace
+        quantum = self._quantum
+        if quantum is not None:
+            self._quantum = self.current = None
+            rank, ult, pe, start = quantum
+            now = ult.clock.now
+            ran_ns = now - start
+            if ran_ns < 0:
+                ran_ns = 0
+            rank.record_run(ran_ns)
+            pe.busy_ns += ran_ns
+            pe.busy_until = now
+            pe.last_rank = rank
+            if tr is not None and ran_ns > 0:
+                tr.span(f"vp{rank.vp}", "exec", start, ran_ns,
+                        pid=self.trace_pid_base + pe.index, tid=rank.vp)
+            state = ult.state
+            if state is UltState.DONE:
+                rank.finished = True
+                rank.exit_value = ult.result
+            elif state is UltState.ERROR:
+                raise ult.exception
+
+        runq = self.runq
+        ranks_by_tid = self._ranks_by_tid
+        timers = self._timers
+        fault_check = self.fault_check
+        while True:
+            item = runq.pop()
+            if item is None:
+                return None
+            ult, ready_time = item
+            rank = ranks_by_tid.get(ult.tid)
+            if rank is None:
+                # Stale quantum of a rolled-back ULT generation (local
+                # recovery does not flush survivors' queues).
+                continue
+            pe = rank.pe
+            busy_until = pe.busy_until
+            eff_start = ready_time if ready_time > busy_until else busy_until
+
+            if timers and timers[0][0] <= eff_start:
+                # Timers due before this quantum may deliver messages
+                # (or fire a crash) that change who should run next:
+                # fire them, requeue the popped quantum, re-pop.
+                while timers and timers[0][0] <= eff_start:
+                    at = timers[0][0]
+                    if fault_check is not None and fault_check(at):
+                        continue  # rollback may have cleared timers
+                    at, _, fn = heapq.heappop(timers)
+                    fn()
+                if ranks_by_tid.get(ult.tid) is rank:
+                    runq.push(ult, ready_time)
+                continue
+
+            if fault_check is not None and fault_check(eff_start):
+                # A fault fired and the job rolled back.  Under global
+                # recovery the popped quantum belongs to a killed ULT
+                # generation; under local recovery a survivor's quantum
+                # stays valid and is requeued.
+                if ranks_by_tid.get(ult.tid) is rank:
+                    runq.push(ult, ready_time)
+                continue
+            break
+
+        ctx_switch_ns = self.costs.context_switch_ns + self.ctx_switch_extra_ns
+        if ready_time > busy_until:
+            if tr is not None:
+                tr.span("idle", "sched-idle", busy_until,
+                        ready_time - busy_until,
+                        pid=self.trace_pid_base + pe.index, tid=PE_TID)
+            pe.idle_ns += ready_time - busy_until
+            switch_at = ready_time
+        else:
+            switch_at = busy_until
+        start = switch_at + ctx_switch_ns
+        pe.ctx_switches += 1
+        self.counters.incr(EV_CTX_SWITCH)
+        ult.clock.advance_to(start)
+        if tr is not None:
+            tr.span("ctx-switch", "sched-overhead", switch_at, ctx_switch_ns,
+                    pid=self.trace_pid_base + pe.index, tid=rank.vp,
+                    args={"method": self.trace_label,
+                          "surcharge_ns": self.ctx_switch_extra_ns})
+        self.timeline.append((pe.index, rank.vp, start))
+        if self.on_quantum is not None:
+            self.on_quantum()
+        self._quantum = (rank, ult, pe, start)
+        self.current = rank
+        return ult
 
     def _report_deadlock(self) -> None:
         blocked = []

@@ -223,9 +223,9 @@ def bench_ctx_sweep(
 ) -> dict[str, Any]:
     """Real switches/second of the yield ping-pong at growing VP counts.
 
-    One PE, so every quantum is a scheduler-mediated baton handoff —
-    the figure 6 microbenchmark measured in host time instead of
-    simulated time.
+    One PE, so every quantum is a direct baton handoff from the
+    yielding rank's ULT to the next one — the figure 6 microbenchmark
+    measured in host time instead of simulated time.
     """
     shared_pool().prewarm(max(vps))
     rows = []

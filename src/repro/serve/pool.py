@@ -70,6 +70,10 @@ from repro.trace.stream import compress_timeline
 #: exit status a worker uses when the chaos kill hook fires
 CHAOS_EXIT = 86
 
+#: seconds an idle process worker waits on its inbox before it checks
+#: that its server is still alive
+IDLE_POLL_S = 2.0
+
 #: worker start method: fork would inherit the host's ULT-pool and
 #: loader state, so workers always start from a fresh interpreter
 MP_CONTEXT = "spawn"
@@ -108,7 +112,7 @@ def _deadline_reply(deadline_ts: float) -> dict[str, Any]:
             "deadline_ts": deadline_ts}
 
 
-def _worker_main(wid: int, inbox: Any, results: Any) -> None:
+def _worker_main(wid: int, inbox: Any, results: Any, parent: int) -> None:
     """Process-mode worker loop: drain the inbox until the sentinel.
 
     Each item is ``(task_id, spec_dict, attempt, chaos)``; the chaos
@@ -119,12 +123,13 @@ def _worker_main(wid: int, inbox: Any, results: Any) -> None:
     (SIGKILLed server: workers are reparented to init) and exits
     instead of blocking on the inbox forever — a leaked worker holds
     inherited pipes open, which can hang the parent's own parent (CI
-    steps, shells) waiting for EOF.
+    steps, shells) waiting for EOF.  ``parent`` is the server's pid,
+    taken before the spawn: read here, after the child has booted, it
+    would already be init's if the server died in between.
     """
-    parent = os.getppid()
     while True:
         try:
-            item = inbox.get(timeout=2.0)
+            item = inbox.get(timeout=IDLE_POLL_S)
         except queue.Empty:
             if os.getppid() != parent:
                 os._exit(0)
@@ -307,7 +312,8 @@ class WorkerPool:
         slot.inbox = self._ctx.Queue()
         slot.proc = self._ctx.Process(
             target=_worker_main,
-            args=(slot.wid, slot.inbox, self._results), daemon=True)
+            args=(slot.wid, slot.inbox, self._results, os.getpid()),
+            daemon=True)
         slot.proc.start()
         slot.dead = False
         if respawn:

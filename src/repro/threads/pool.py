@@ -2,12 +2,15 @@
 
 A :class:`UserLevelThread` needs a real OS stack to park blocked user
 code on.  It gets one from a process-wide pool of persistent worker
-threads: a worker is bound to a ULT lazily at its first ``switch_in``
-and recycled the moment the ULT finishes or is killed, so ranks and
-whole jobs reuse the same OS threads.  After the pool has warmed up to
-a job's high-water mark, running another job of the same scale performs
+threads: a worker is bound to a ULT lazily at its first switch-in and
+recycled the moment the ULT finishes or is killed, so ranks and whole
+jobs reuse the same OS threads.  After the pool has warmed up to a
+job's high-water mark, running another job of the same scale performs
 **zero** thread creates/joins.  Baton handoff uses raw locks, the
-cheapest cross-thread wakeup CPython offers.
+cheapest cross-thread wakeup CPython offers: under the job scheduler's
+direct dispatch a yielding ULT releases the next ULT's lock and parks
+on its own, and a finishing ULT's worker passes the baton on before it
+waits for its next ULT.
 
 Determinism contract: the pool only decides which OS stack runs a ULT's
 body; it never touches simulated clocks, the run queue, or scheduling
@@ -68,9 +71,11 @@ class _PoolWorker:
     """A persistent OS thread that hosts one ULT at a time.
 
     The two raw locks form the baton: ``_resume`` is the ULT side's
-    token, ``_yield`` the caller side's.  Both start held, so either
-    party blocks until the other hands over.  One worker services many
-    ULT lifetimes; binding costs two attribute writes.
+    token, ``_yield`` the side of a ``switch_in``/``kill`` caller, which
+    waits for the ULT to come back.  Both start held, so either party
+    blocks until the other hands over.  Direct dispatch uses
+    ``_resume`` alone.  One worker services many ULT lifetimes; binding
+    costs two attribute writes.
     """
 
     __slots__ = ("_resume", "_yield", "_pool", "_ult", "thread")
@@ -90,15 +95,23 @@ class _PoolWorker:
     def _loop(self) -> None:
         acquire = self._resume.acquire
         while True:
-            acquire()                  # first resume of a bound ULT
+            acquire()                  # first wakeup of a bound ULT
             ult = self._ult
             if ult is None:            # shutdown sentinel
                 return
             ult._main()
-            # Clearing the binding before the release is how resume()
-            # tells that the ULT finished and the worker is free.
+            # Clearing the binding is how resume() and join_thread() tell
+            # that the ULT finished and the worker is free.
             self._ult = None
-            self._yield.release()      # switch_in returns with DONE/ERROR
+            baton = ult.baton
+            if baton is None:
+                self._yield.release()  # switch_in/kill returns DONE/ERROR
+            else:
+                # Free before passing the baton on: the next quantum may
+                # bind this very worker (its wakeup then waits in
+                # _resume), and the job may end before this loop turns.
+                self._pool._recycle(self)
+                baton(ult)
 
     # -- runner protocol -----------------------------------------------------
 
@@ -120,20 +133,30 @@ class _PoolWorker:
         self._yield.release()
         self._resume.acquire()
 
+    def wake(self) -> None:
+        """Direct dispatch: start the ULT's next quantum, do not wait."""
+        self._resume.release()
+
+    def wait(self) -> None:
+        """Direct dispatch, ULT side: block until the next wakeup."""
+        self._resume.acquire()
+
 
 class UltPool:
     """Worker threads reused across ULT lifetimes and jobs.
 
     The pool starts empty (or at ``prewarm``) and grows on demand to the
-    high-water mark of simultaneously-live ULTs; workers are never
-    destroyed until :meth:`close`.  ``kill()`` on a ULT unwinds its user
-    stack and recycles the worker instead of joining an OS thread.
+    high-water mark of simultaneously-live ULTs (the job scheduler
+    prewarms one idle worker per queued ULT when a run starts); workers
+    are never destroyed until :meth:`close`.  ``kill()`` on a ULT
+    unwinds its user stack and recycles the worker instead of joining
+    an OS thread.
     """
 
     def __init__(self, prewarm: int = 0):
         self._free: list[_PoolWorker] = []
         self._lock = threading.Lock()
-        self.created = 0       #: workers ever created (== high-water mark)
+        self.created = 0       #: workers ever created
         self.binds = 0         #: ULT lifetimes served
         self.closed = False
         if prewarm:

@@ -3,12 +3,18 @@
 Each :class:`UserLevelThread` runs its user code on a real OS stack: a
 recycled worker of the process-wide :class:`~repro.threads.pool.UltPool`.
 The stack spends almost all of its life blocked on a private baton.
-Control is handed over explicitly: the scheduler calls
-:meth:`UserLevelThread.switch_in`, which wakes the ULT and blocks the
-caller until the ULT either *yields* (blocks on communication) or
-finishes.  At any instant exactly one thread — the scheduler or one ULT
-— is runnable, so no user-visible locking is needed and execution is
-fully deterministic regardless of which worker hosts a ULT.
+Control is handed over explicitly, in one of two ways:
+
+* :meth:`UserLevelThread.switch_in` wakes the ULT and blocks the caller
+  until the ULT either *yields* (blocks on communication) or finishes.
+* :meth:`UserLevelThread.wake` (the job scheduler's direct dispatch)
+  wakes the ULT without waiting.  When it yields or finishes, the ULT
+  calls its ``baton`` on its own stack, which picks and wakes the next
+  ULT itself — one OS handoff per quantum instead of two.
+
+At any instant exactly one thread holds the baton, so no user-visible
+locking is needed and execution is fully deterministic regardless of
+which worker hosts a ULT.
 
 Simulated time lives in ``ult.clock`` (a :class:`~repro.perf.clock.SimClock`);
 the real threads exist only to give user code an ordinary blocking call
@@ -22,7 +28,7 @@ from typing import Any, Callable
 
 from repro.errors import ReproError
 from repro.perf.clock import SimClock
-from repro.threads.pool import record_orphan, shared_pool
+from repro.threads.pool import _PoolWorker, record_orphan, shared_pool
 
 
 class UltState(enum.Enum):
@@ -68,15 +74,18 @@ class UserLevelThread:
 
         self._kill = False
         self._orphan_recorded = False
-        self._runner = None  # the pool worker, bound at first switch_in
+        self._runner = None  # the pool worker, bound at first switch-in
+        #: set by :meth:`wake`: called with this ULT when it yields or
+        #: finishes, returns True iff this ULT runs next
+        self.baton: Callable[["UserLevelThread"], bool] | None = None
 
     # -- lifecycle (scheduler side) ---------------------------------------------
 
     def start(self) -> None:
         """Make the ULT runnable, paused before user code runs.
 
-        No OS resources are taken until the first :meth:`switch_in`, so
-        ranks killed before their first quantum never consume a worker.
+        No OS resources are taken until the first switch-in, so ranks
+        killed before their first quantum never consume a worker.
         """
         if self.state is not UltState.NEW:
             raise ReproError(f"ULT {self.name} already started")
@@ -84,6 +93,21 @@ class UserLevelThread:
 
     def switch_in(self) -> UltState:
         """Hand the baton to this ULT; returns when it yields or finishes."""
+        self.baton = None
+        self._bind().resume()
+        return self.state
+
+    def wake(self, baton: Callable[["UserLevelThread"], bool]) -> None:
+        """Hand the baton to this ULT without waiting for it back.
+
+        The caller then waits on a lock of its own until some thread
+        hands the baton back; when this ULT yields or finishes it calls
+        ``baton(self)`` on its own stack to pass the baton on.
+        """
+        self.baton = baton
+        self._bind().wake()
+
+    def _bind(self) -> "_PoolWorker":
         if self.state not in (UltState.READY, UltState.BLOCKED):
             raise ReproError(
                 f"cannot switch to ULT {self.name} in state {self.state.value}"
@@ -92,8 +116,7 @@ class UserLevelThread:
         if runner is None:
             runner = self._runner = shared_pool().bind(self)
         self.state = UltState.RUNNING
-        runner.resume()
-        return self.state
+        return runner
 
     def kill(self) -> None:
         """Force the ULT to unwind (used at abnormal shutdown).
@@ -105,6 +128,7 @@ class UserLevelThread:
         if self.state in (UltState.DONE, UltState.ERROR, UltState.NEW):
             return
         self._kill = True
+        self.baton = None  # unwind through park(), back to this caller
         if self._runner is None:
             # Started but never ran: no user stack exists to unwind.
             self.state = UltState.ERROR
@@ -133,10 +157,16 @@ class UserLevelThread:
     # -- ULT side -----------------------------------------------------------------
 
     def yield_(self, reason: str = "yield") -> None:
-        """Suspend; returns when the scheduler switches back in."""
+        """Suspend; returns when this ULT is switched back in."""
         self.block_reason = reason
         self.state = UltState.BLOCKED
-        self._runner.park()
+        baton = self.baton
+        if baton is None:
+            self._runner.park()
+        elif baton(self):
+            self.state = UltState.RUNNING  # the next quantum is our own
+        else:
+            self._runner.wait()
         if self._kill:
             raise UltKilled(self.name)
         self.block_reason = ""
@@ -144,8 +174,8 @@ class UserLevelThread:
     def _main(self) -> None:
         """Body executed on the pool worker's OS stack.
 
-        The first ``resume()`` has already been consumed by the worker
-        before this runs.  Never raises: all outcomes are captured in
+        The first wakeup has already been consumed by the worker before
+        this runs.  Never raises: all outcomes are captured in
         ``state``/``result``/``exception`` for the scheduler.
         """
         if self._kill:

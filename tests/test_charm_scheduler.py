@@ -336,3 +336,224 @@ class TestTimers:
         sched.add_timer(100, lambda: None)
         sched.flush()
         assert sched.pending_timers == 0
+
+
+def _yielding_pair(sched, ranks, n_yields, caught):
+    """Bodies of a 2-rank yield ping-pong whose yields sit in a user
+    ``except Exception`` (which must never see a scheduler exception)."""
+    def make(rank):
+        def body():
+            for _ in range(n_yields):
+                rank.ult.clock.advance(100)
+                try:
+                    sched.yield_current(rank.clock.now)
+                except Exception as e:  # noqa: BLE001 - the check itself
+                    caught.append(e)
+        return body
+    for r in ranks:
+        r.ult.target = make(r)
+        sched.register(r, 0)
+
+
+def _run_in_thread(sched, timeout_s=10.0):
+    """Run the job on a fresh thread; returns what ``run()`` raised (or
+    None) and fails the test if it has not returned within the timeout."""
+    import threading
+
+    out = []
+
+    def target():
+        try:
+            sched.run()
+            out.append(None)
+        except BaseException as e:  # noqa: BLE001 - returned to the test
+            out.append(e)
+
+    t = threading.Thread(target=target, daemon=True)
+    t.start()
+    t.join(timeout_s)
+    assert not t.is_alive(), "JobScheduler.run() hung"
+    return out[0]
+
+
+class TestDispatchStepExceptions:
+    """An exception raised by the dispatch step itself (a timer callback,
+    the ``on_quantum`` hook) surfaces from ``run()``; it never reaches
+    user code and never hangs the job, whichever thread ran the step."""
+
+    @pytest.mark.parametrize("hook", ["timer", "on_quantum"])
+    def test_step_exception_surfaces_from_run(self, hook):
+        from repro.threads import consume_orphan_count
+
+        consume_orphan_count()
+        sched, ranks, _ = make_ranks(2, JobLayout(1, 1, 1))
+        caught = []
+        _yielding_pair(sched, ranks, 20, caught)
+        if hook == "timer":
+            def boom():
+                raise RuntimeError("timer boom")
+            sched.add_timer(CS + 500, boom)
+        else:
+            calls = []
+
+            def boom():
+                calls.append(1)
+                if len(calls) == 5:
+                    raise RuntimeError("on_quantum boom")
+            sched.on_quantum = boom
+        exc = _run_in_thread(sched)
+        assert isinstance(exc, RuntimeError)
+        assert str(exc) == f"{hook} boom"
+        assert caught == []
+        assert all(r.ult.finished for r in ranks)
+        assert consume_orphan_count() == 0
+
+
+class TestSelfMigrationAccounting:
+    def test_quantum_charged_to_its_starting_pe(self):
+        """A rank that migrates mid-quantum is charged, for that quantum,
+        to the PE it started on; its next quantum runs on the new PE."""
+        sched, (r0, r1), pes = make_ranks(2, JobLayout(1, 1, 2))
+        pe0, pe1 = pes
+        assert r0.pe is pe0 and r1.pe is pe1
+
+        def migrant():
+            r0.ult.clock.advance(1000)
+            r0.move_to(pe1)                 # what migrate_to does
+            r0.ult.clock.advance(50)        # its packing cost
+            sched.yield_current(r0.clock.now)
+            r0.ult.clock.advance(300)
+
+        def resident():
+            r1.ult.clock.advance(2000)
+
+        r0.ult.target = migrant
+        r1.ult.target = resident
+        sched.register(r0, 0)
+        sched.register(r1, 0)
+        sched.run()
+        assert sched.timeline == [(0, 0, CS), (1, 1, CS),
+                                  (1, 0, 2 * CS + 2000)]
+        assert (pe0.busy_ns, pe0.busy_until, pe0.ctx_switches) == \
+            (1050, CS + 1050, 1)
+        assert (pe1.busy_ns, pe1.busy_until, pe1.ctx_switches) == \
+            (2000 + 300, 2 * CS + 2300, 2)
+        assert pe0.idle_ns == pe1.idle_ns == 0
+        assert r0.total_cpu_ns == 1350 and r1.total_cpu_ns == 2000
+
+
+class _CountingLock:
+    """A raw lock that counts ``acquire`` calls per calling thread."""
+
+    def __init__(self, counts, real):
+        self._lock = real()
+        self._counts = counts
+
+    def acquire(self, *args):
+        import threading
+
+        self._counts[threading.current_thread().name] += 1
+        return self._lock.acquire(*args)
+
+    def release(self):
+        self._lock.release()
+
+    def locked(self):
+        return self._lock.locked()
+
+
+@pytest.fixture
+def lock_counts(monkeypatch):
+    """Count lock acquires by thread name on every baton lock: those of
+    a fresh shared ULT pool's workers and the scheduler's own.  Tests
+    prewarm the pool and clear the counts right before ``run()``, so
+    the acquires that set locks up are not counted."""
+    import collections
+    from _thread import allocate_lock
+
+    import repro.charm.scheduler as sched_mod
+    import repro.threads.pool as pool_mod
+
+    counts = collections.Counter()
+
+    def factory():
+        return _CountingLock(counts, allocate_lock)
+
+    monkeypatch.setattr(pool_mod, "allocate_lock", factory)
+    monkeypatch.setattr(sched_mod, "allocate_lock", factory, raising=False)
+    pool = pool_mod.UltPool()
+    monkeypatch.setattr(pool_mod, "_shared", pool)
+    yield counts
+    pool.close()
+
+
+class TestBatonHandoffs:
+    """Direct dispatch: a yielding ULT hands the baton straight to the
+    next one, so a quantum costs at most one OS wakeup and the thread
+    that called ``run()`` is woken once, when the job ends."""
+
+    @staticmethod
+    def _run(sched, counts, workers):
+        from repro.threads import shared_pool
+
+        shared_pool().prewarm(workers)
+        counts.clear()
+        sched.run()
+
+    def _split(self, counts):
+        import threading
+
+        me = threading.current_thread().name
+        workers = sum(n for name, n in counts.items()
+                      if name.startswith("ult-pool-w"))
+        return counts[me], workers
+
+    def test_pingpong_is_one_handoff_per_quantum(self, lock_counts):
+        n = 50
+        sched, ranks, _ = make_ranks(2, JobLayout(1, 1, 1))
+        caught = []
+        _yielding_pair(sched, ranks, n, caught)
+        self._run(sched, lock_counts, 2)
+        quanta = len(sched.timeline)
+        assert quanta == 2 * (n + 1)
+        # the ranks really alternate, so every quantum is a handoff
+        assert [vp for _, vp, _ in sched.timeline] == [0, 1] * (n + 1)
+        home, workers = self._split(lock_counts)
+        assert home == 1
+        assert workers <= quanta
+        assert caught == []
+
+    def test_own_next_quantum_is_no_handoff(self, lock_counts):
+        sched, (r,), _ = make_ranks(1)
+
+        def body():
+            for _ in range(30):
+                sched.yield_current(r.clock.now + 10)
+
+        r.ult.target = body
+        sched.register(r, 0)
+        self._run(sched, lock_counts, 1)
+        assert len(sched.timeline) == 31
+        home, workers = self._split(lock_counts)
+        assert (home, workers) == (1, 1)
+
+    def test_fault_job_goes_home_every_quantum(self, lock_counts):
+        """Recovery kills ULTs, which must not run on a ULT's own stack:
+        a job with a fault plan returns the baton every quantum, and its
+        timeline is the pinned one."""
+        from pathlib import Path
+
+        from repro.harness.jobspec import build_job
+        from repro.provenance import load_manifest
+        from repro.trace.stream import timeline_sha
+
+        manifest = Path(__file__).resolve().parents[1] / \
+            "benchmarks" / "pinned_scenarios.json"
+        entry = load_manifest(manifest)["jacobi3d-crash-local"]
+        assert entry.spec.fault_plan
+        job = build_job(entry.spec)
+        job.start()
+        self._run(job.scheduler, lock_counts, entry.spec.nvp)
+        assert timeline_sha(job.scheduler.timeline) == entry.timeline_sha256
+        home, _ = self._split(lock_counts)
+        assert home >= len(job.scheduler.timeline)

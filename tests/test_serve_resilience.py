@@ -102,6 +102,31 @@ class TestPoolCrashRecovery:
             pool.close()
 
 
+    def test_worker_exits_when_its_server_is_gone(self):
+        """A spawn worker compares against the server pid it was handed,
+        not the one it reads after booting: a server SIGKILLed while the
+        worker booted would otherwise look alive (init) forever."""
+        import multiprocessing
+        import os
+
+        ctx = multiprocessing.get_context(pool_mod.MP_CONTEXT)
+        inbox, results = ctx.Queue(), ctx.Queue()
+        # alive, and not the worker's parent (that is this process)
+        not_parent = os.getppid()
+        proc = ctx.Process(target=pool_mod._worker_main,
+                           args=(0, inbox, results, not_parent), daemon=True)
+        proc.start()
+        try:
+            # interpreter boot, then one idle poll of the empty inbox
+            proc.join(timeout=pool_mod.IDLE_POLL_S + 30)
+            assert not proc.is_alive()
+            assert proc.exitcode == 0
+        finally:
+            if proc.is_alive():
+                proc.kill()
+                proc.join()
+
+
 class TestPoolDeadlines:
     def test_expired_deadline_dropped_at_dispatch(self):
         with WorkerPool(1, mode="thread") as pool:

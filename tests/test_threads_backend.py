@@ -149,6 +149,65 @@ class TestPooledReuse:
         assert pool.binds == n_threads * batches * n_ults
         assert pool.created <= n_threads * n_ults
 
+    def test_concurrent_direct_dispatch_jobs_share_pool(self, pool):
+        # Job schedulers on several OS threads at once: a finishing ULT's
+        # worker returns to the pool before it passes its job's baton
+        # on, so another job may rebind it mid-handoff.  Every job must
+        # still replay its solo timeline.
+        from repro.charm.node import JobLayout, build_topology
+        from repro.charm.scheduler import JobScheduler
+        from repro.charm.vrank import VirtualRank
+        from repro.mem.isomalloc import IsomallocArena
+        from repro.machine import TEST_MACHINE
+        from repro.perf.costs import TEST_COSTS
+
+        def one_job():
+            arena = IsomallocArena(3, 1 << 20)
+            _, _, (pe,) = build_topology(JobLayout(1, 1, 1), TEST_MACHINE,
+                                         arena)
+            sched = JobScheduler(TEST_COSTS)
+            for vp, n in enumerate((2, 5, 9)):
+                rank = VirtualRank(vp, pe)
+
+                def body(rank=rank, n=n):
+                    for _ in range(n):
+                        rank.ult.clock.advance(10 * (rank.vp + 1))
+                        sched.yield_current(rank.clock.now)
+                    return rank.vp
+
+                rank.ult = UserLevelThread(f"vp{vp}", body)
+                sched.register(rank, 0)
+            sched.run()
+            return sched.timeline, [r.exit_value for r in sched.ranks()]
+
+        solo = one_job()
+        n_threads, jobs = 4, 10
+        errors = []
+
+        def drive():
+            try:
+                for _ in range(jobs):
+                    assert one_job() == solo
+            except BaseException as e:  # noqa: BLE001 - reported below
+                errors.append(e)
+
+        consume_orphan_count()
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=drive)
+                       for _ in range(n_threads)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(old)
+        assert not any(t.is_alive() for t in threads)
+        assert errors == []
+        assert consume_orphan_count() == 0
+        assert pool.binds == (n_threads * jobs + 1) * 3
+
     def test_close_returns_idle_worker_count(self):
         pool = UltPool(prewarm=3)
         assert pool.close() == 3
